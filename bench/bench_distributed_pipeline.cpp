@@ -1,10 +1,7 @@
 // Figure 10/11-style throughput for the DISTRIBUTED deployment (§4.7):
 // how much does overlapping rounds across server processes buy over
-// running one round at a time on the same mesh, what does the wire cost
-// against the in-process engine, and what does the WAN transport
-// pipeline (per-peer frame coalescing + send/serialize overlap through
-// the mesh's sender lanes) buy over the legacy inline
-// one-frame-per-envelope path?
+// running one round at a time on the same mesh, and what does the wire
+// cost against the in-process engine?
 //
 // Executors driving identical seeded EngineRound specs:
 //
@@ -12,15 +9,11 @@
 //   mesh-sequential    DistributedRoundDriver over loopback TCP servers,
 //                      Submit -> Wait one round at a time (a global
 //                      barrier on the wire).
-//   mesh-legacy        Pipelined driver with coalescing OFF: every
-//                      envelope ships as its own kEnvelope frame,
-//                      serialized inline on the sending lane (the
-//                      pre-refactor transport).
-//   mesh-coalesced     Pipelined driver with coalescing ON: per-peer
-//                      kEnvelopeBundle frames through the async sender
-//                      lanes, so AEAD-seal of bundle n+1 overlaps the
-//                      emulated wire stall of bundle n.
-//   *-wan-matrix       The same pair under a two-region WAN matrix
+//   mesh-coalesced     Pipelined driver: per-peer kEnvelopeBundle frames
+//                      through the async sender lanes, so AEAD-seal of
+//                      bundle n+1 overlaps the emulated wire stall of
+//                      bundle n.
+//   *-wan-matrix       The pipelined driver under a two-region WAN matrix
 //                      (cheap intra-region links, slow bandwidth-capped
 //                      cross-region links via set_peer_profile) — the
 //                      Figure 10/11 deployment shape.
@@ -35,9 +28,10 @@
 //
 // Emits BENCH_distributed_pipeline.json next to the text table. Exits
 // nonzero if pipelined throughput is not strictly above sequential, or
-// (on hosts with >= 2 hardware threads, where overlap is physically
-// possible) if coalesced throughput is below 1.3x legacy under the
-// emulated WAN.
+// if any mesh run's server-to-server data frames exceed the bundling
+// bound: per round, the sum over hops of the distinct remote hosts the
+// hop's fan-out reaches (one frame per destination host, never one per
+// envelope).
 //
 //   ./build/bench/bench_distributed_pipeline [--smoke]
 #include <chrono>
@@ -46,6 +40,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -116,9 +111,41 @@ struct Fixture {
   }
 };
 
-// One fleet configuration: transport mode plus WAN emulation shape.
+// Upper bound on one round's server-to-server data frames when every hop
+// ships one frame per remote destination host: the sum over hops of the
+// distinct hosts, other than the sender's own, that its fan-out reaches.
+// Mixing hops fan out along the topology; a trap exit hop sprays its
+// buckets to every group.
+uint64_t BundledFrameBound(const EngineRound& spec,
+                           const std::vector<uint32_t>& hosts) {
+  const Topology& topology = *spec.topology;
+  const size_t layers = topology.NumLayers();
+  const uint32_t width = static_cast<uint32_t>(topology.Width());
+  uint64_t bound = 0;
+  for (size_t layer = 0; layer < layers; layer++) {
+    for (uint32_t g = 0; g < width; g++) {
+      std::vector<uint32_t> dests;
+      if (layer + 1 < layers) {
+        dests = topology.Neighbors(layer, g);
+      } else if (spec.exit.has_value() && spec.variant == Variant::kTrap) {
+        for (uint32_t d = 0; d < width; d++) {
+          dests.push_back(d);
+        }
+      }
+      std::set<uint32_t> remote;
+      for (uint32_t d : dests) {
+        if (hosts[d] != hosts[g]) {
+          remote.insert(hosts[d]);
+        }
+      }
+      bound += remote.size();
+    }
+  }
+  return bound;
+}
+
+// One fleet configuration: scheduling mode plus WAN emulation shape.
 struct FleetOpts {
-  bool coalesce = true;    // bundles + sender lanes vs legacy inline
   bool sequential = false; // Wait each round before submitting the next
   std::chrono::milliseconds wan_delay{0};  // uniform per-frame stall
   bool wan_matrix = false;  // two-region matrix (overrides wan_delay)
@@ -155,12 +182,16 @@ struct WireTotals {
 struct FleetResult {
   double seconds = 0;
   WireTotals wire;
+  // Server-to-server frames (everything but driver-bound traffic) and
+  // the bundling bound they must stay within, summed over the rounds.
+  uint64_t data_frames = 0;
+  uint64_t frame_bound = 0;
 };
 
 // Builds a fresh loopback fleet with `opts`, drives `specs` through it,
 // tears it down, and returns wall-clock plus transport counters. A fresh
-// fleet per configuration because the transport knobs (coalescing, WAN
-// profiles) must be set before the server processes start.
+// fleet per configuration because the WAN profiles must be set before
+// the server processes start.
 FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
                      const FleetOpts& opts) {
   const size_t width = fx.round->NumGroups();
@@ -198,7 +229,6 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
     auto proc = std::make_unique<NodeProcess>(h, Variant::kTrap, key,
                                               driver_key.pk, /*max_rounds=*/8,
                                               pools.back().get());
-    proc->set_coalesce_sends(opts.coalesce);
     if (opts.wan_matrix) {
       for (uint32_t p = 1; p <= num_hosts; p++) {
         if (p != h) {
@@ -239,9 +269,11 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
   }
 
   FleetResult result;
+  for (const EngineRound& spec : specs) {
+    result.frame_bound += BundledFrameBound(spec, hosts);
+  }
   {
     DistributedRoundDriver driver(&mesh, hosts);
-    driver.set_coalesce_entries(opts.coalesce);
     driver.set_round_timeout(std::chrono::seconds(120));
     auto t0 = Clock::now();
     if (opts.sequential) {
@@ -270,7 +302,13 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
     result.seconds = SecondsSince(t0);
     result.wire.Add(mesh.Stats());
     for (auto& proc : procs) {
-      result.wire.Add(proc->TransportStats());
+      MeshTransportStats stats = proc->TransportStats();
+      result.wire.Add(stats);
+      for (const auto& [peer, peer_stats] : stats.per_peer) {
+        if (peer != kMeshDriverId) {
+          result.data_frames += peer_stats.frames_sent;
+        }
+      }
     }
     mesh.Stop();
   }
@@ -322,28 +360,19 @@ int main(int argc, char** argv) {
   FleetOpts seq_opts;
   seq_opts.sequential = true;
   seq_opts.wan_delay = wan_delay;
-  FleetOpts legacy_opts;
-  legacy_opts.coalesce = false;
-  legacy_opts.wan_delay = wan_delay;
   FleetOpts coalesced_opts;
   coalesced_opts.wan_delay = wan_delay;
   // Two-region matrix: cheap intra-region links, slow bandwidth-capped
   // cross-region links (Figure 10/11's geo-distributed shape).
-  FleetOpts matrix_legacy;
-  matrix_legacy.coalesce = false;
-  matrix_legacy.wan_matrix = true;
-  matrix_legacy.intra_delay = std::chrono::milliseconds(smoke ? 10 : 20);
-  matrix_legacy.cross_delay = std::chrono::milliseconds(smoke ? 40 : 80);
-  matrix_legacy.cross_bytes_per_ms = 8192;  // ~8 MB/s transcontinental
-  FleetOpts matrix_coalesced = matrix_legacy;
-  matrix_coalesced.coalesce = true;
+  FleetOpts matrix_coalesced;
+  matrix_coalesced.wan_matrix = true;
+  matrix_coalesced.intra_delay = std::chrono::milliseconds(smoke ? 10 : 20);
+  matrix_coalesced.cross_delay = std::chrono::milliseconds(smoke ? 40 : 80);
+  matrix_coalesced.cross_bytes_per_ms = 8192;  // ~8 MB/s transcontinental
 
   FleetResult seq = RunFleet(fx, fx.TakeSpecs(in_flight), seq_opts);
-  FleetResult legacy = RunFleet(fx, fx.TakeSpecs(in_flight), legacy_opts);
   FleetResult coalesced =
       RunFleet(fx, fx.TakeSpecs(in_flight), coalesced_opts);
-  FleetResult wan_legacy =
-      RunFleet(fx, fx.TakeSpecs(in_flight), matrix_legacy);
   FleetResult wan_coalesced =
       RunFleet(fx, fx.TakeSpecs(in_flight), matrix_coalesced);
 
@@ -355,8 +384,6 @@ int main(int argc, char** argv) {
   const double per_hop_ms =
       seq.seconds * 1000.0 / static_cast<double>(in_flight * layers);
   const double pipelining_gain = seq.seconds / coalesced.seconds;
-  const double coalescing_gain = legacy.seconds / coalesced.seconds;
-  const double wan_gain = wan_legacy.seconds / wan_coalesced.seconds;
 
   std::printf("\n%zu rounds x %zu msgs, %zu groups, %zu layers, trap "
               "variant, %lld ms emulated WAN latency, %u hw threads:\n",
@@ -376,16 +403,19 @@ int main(int argc, char** argv) {
   };
   row("engine (in-proc)", engine_seconds, nullptr);
   row("mesh sequential", seq.seconds, &seq.wire);
-  row("mesh legacy", legacy.seconds, &legacy.wire);
   row("mesh coalesced", coalesced.seconds, &coalesced.wire);
-  row("mesh legacy (matrix)", wan_legacy.seconds, &wan_legacy.wire);
   row("mesh coalesced (matrix)", wan_coalesced.seconds, &wan_coalesced.wire);
   std::printf("  pipelining gain over sequential: %.2fx (%zu rounds in "
               "flight)\n",
               pipelining_gain, in_flight);
-  std::printf("  coalescing gain over legacy: %.2fx uniform, %.2fx "
-              "two-region matrix\n",
-              coalescing_gain, wan_gain);
+  std::printf("  server data frames vs bundling bound: %llu/%llu "
+              "sequential, %llu/%llu coalesced, %llu/%llu matrix\n",
+              static_cast<unsigned long long>(seq.data_frames),
+              static_cast<unsigned long long>(seq.frame_bound),
+              static_cast<unsigned long long>(coalesced.data_frames),
+              static_cast<unsigned long long>(coalesced.frame_bound),
+              static_cast<unsigned long long>(wan_coalesced.data_frames),
+              static_cast<unsigned long long>(wan_coalesced.frame_bound));
   std::printf("  per-hop latency over the mesh: %.2f ms (sequential, "
               "incl. wire)\n",
               per_hop_ms);
@@ -402,15 +432,14 @@ int main(int argc, char** argv) {
     json.Num("hardware_threads", static_cast<double>(hw_threads));
     json.Num("per_hop_latency_ms", per_hop_ms);
     json.Num("pipelining_gain", pipelining_gain);
-    json.Num("coalescing_gain", coalescing_gain);
-    json.Num("coalescing_gain_wan_matrix", wan_gain);
     auto emit = [&](const char* name, double seconds,
-                    const WireTotals* wire) {
+                    const FleetResult* fleet) {
       size_t r = json.Row();
       json.RowStr(r, "executor", name);
       json.RowNum(r, "seconds", seconds);
       json.RowNum(r, "msgs_per_second", total_msgs / seconds);
-      if (wire != nullptr) {
+      if (fleet != nullptr) {
+        const WireTotals* wire = &fleet->wire;
         json.RowNum(r, "bytes_sent", static_cast<double>(wire->bytes));
         json.RowNum(r, "frames_sent", static_cast<double>(wire->frames));
         json.RowNum(r, "bundles_sent", static_cast<double>(wire->bundles));
@@ -419,15 +448,16 @@ int main(int argc, char** argv) {
                     static_cast<double>(wire->queue_peak));
         json.RowNum(r, "send_queue_drops",
                     static_cast<double>(wire->drops));
+        json.RowNum(r, "server_data_frames",
+                    static_cast<double>(fleet->data_frames));
+        json.RowNum(r, "bundled_frame_bound",
+                    static_cast<double>(fleet->frame_bound));
       }
     };
     emit("engine", engine_seconds, nullptr);
-    emit("mesh_sequential", seq.seconds, &seq.wire);
-    emit("mesh_pipelined_legacy", legacy.seconds, &legacy.wire);
-    emit("mesh_pipelined_coalesced", coalesced.seconds, &coalesced.wire);
-    emit("mesh_wan_matrix_legacy", wan_legacy.seconds, &wan_legacy.wire);
-    emit("mesh_wan_matrix_coalesced", wan_coalesced.seconds,
-         &wan_coalesced.wire);
+    emit("mesh_sequential", seq.seconds, &seq);
+    emit("mesh_pipelined_coalesced", coalesced.seconds, &coalesced);
+    emit("mesh_wan_matrix_coalesced", wan_coalesced.seconds, &wan_coalesced);
   }
 
   if (tput(coalesced) <= tput(seq)) {
@@ -437,17 +467,20 @@ int main(int argc, char** argv) {
                  tput(coalesced), tput(seq));
     return 1;
   }
-  // The overlap gate needs real parallel hardware: with one thread the
-  // sender lane cannot overlap anything, so the gain only gets reported.
-  if (hw_threads >= 2 && coalescing_gain < 1.3) {
-    std::fprintf(stderr,
-                 "FAIL: coalesced transport is only %.2fx legacy under "
-                 "emulated WAN (gate: 1.3x at >= 2 hardware threads)\n",
-                 coalescing_gain);
-    return 1;
+  // Bundling is deterministic, so its gate is a frame count, not a
+  // timing ratio: one frame per (hop, remote destination host).
+  for (const FleetResult* fleet : {&seq, &coalesced, &wan_coalesced}) {
+    if (fleet->data_frames > fleet->frame_bound) {
+      std::fprintf(stderr,
+                   "FAIL: servers sent %llu data frames, above the "
+                   "bundling bound of %llu\n",
+                   static_cast<unsigned long long>(fleet->data_frames),
+                   static_cast<unsigned long long>(fleet->frame_bound));
+      return 1;
+    }
   }
-  std::printf("PASS: pipelined beats sequential (%.2fx) and coalesced "
-              "beats legacy (%.2fx)\n",
-              pipelining_gain, coalescing_gain);
+  std::printf("PASS: pipelined beats sequential (%.2fx) and every run "
+              "stays within the bundling frame bound\n",
+              pipelining_gain);
   return 0;
 }

@@ -110,11 +110,12 @@ class Round {
                                     size_t workers);
 
   // Streaming intake (millions-of-users ingest): each entry-group shard
-  // owns a bounded lock-free MPSC ring. Many reader threads StreamSubmit
-  // decoded submissions without taking any lock; false means the target
-  // shard's ring is full (backpressure) or the entry gid is out of range —
-  // nothing was queued either way. Queued submissions are NOT yet part of
-  // the intake epoch: a pump must drain them through verification.
+  // owns a bounded lock-free MPSC ring. Many producers (the gateway's
+  // event loops) StreamSubmit decoded submissions without taking any
+  // lock; false means the target shard's ring is full (backpressure) or
+  // the entry gid is out of range — nothing was queued either way. Queued
+  // submissions are NOT yet part of the intake epoch: a pump must drain
+  // them through verification.
   bool StreamSubmit(StreamedSubmission item);
 
   // Drains everything currently queued on shard `gid` through the usual
@@ -231,7 +232,7 @@ class Round {
     std::vector<std::array<uint8_t, 32>> commitments;
     std::vector<TrapSubmission> submissions;
     std::set<uint64_t> clients;
-    // Streaming side-entrance: pushed lock-free by reader threads, drained
+    // Streaming side-entrance: pushed lock-free by producers, drained
     // by this shard's single pump into the verified state above.
     MpscRing<StreamedSubmission> stream;
   };

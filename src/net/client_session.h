@@ -1,5 +1,6 @@
 // ClientSession: a registered user's authenticated channel to a
-// SubmissionGateway (src/net/gateway.h).
+// ReactorGateway (src/net/reactor.h), speaking the client protocol of
+// src/net/gateway.h.
 //
 // Connect dials the gateway and runs the SecureLink handshake under the
 // client's REGISTERED long-term key — the gateway's registry lookup plus

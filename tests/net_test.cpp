@@ -24,12 +24,14 @@
 #include "src/core/node.h"
 #include "src/core/round.h"
 #include "src/core/wire.h"
+#include "src/crypto/sha256.h"
 #include "src/net/client_session.h"
 #include "src/net/control.h"
 #include "src/net/gateway.h"
 #include "src/net/link.h"
 #include "src/net/mesh.h"
 #include "src/net/node_process.h"
+#include "src/net/reactor.h"
 #include "src/net/registry.h"
 #include "src/net/round_driver.h"
 #include "src/topology/permnet.h"
@@ -89,6 +91,25 @@ NodeMsg EntryMsg(uint32_t gid, CiphertextBatch batch,
   msg.batch = std::move(batch);
   msg.next_pks = std::move(next_pks);
   return msg;
+}
+
+// Golden digest of seeded RoundResults: SHA-256 over each round's abort
+// flag, trap/inner counts and length-prefixed plaintexts, in round order.
+// Tests pin it as a constant so a transport or ingress change that alters
+// any output byte fails even when every executor drifts together.
+std::string ResultsDigest(const std::vector<RoundResult>& results) {
+  ByteWriter w;
+  for (const RoundResult& result : results) {
+    w.U8(result.aborted ? 1 : 0);
+    w.U64(result.traps_seen);
+    w.U64(result.inner_seen);
+    w.U32(static_cast<uint32_t>(result.plaintexts.size()));
+    for (const Bytes& plaintext : result.plaintexts) {
+      w.Var(BytesView(plaintext));
+    }
+  }
+  auto digest = Sha256::Hash(BytesView(w.bytes()));
+  return HexEncode(BytesView(digest.data(), digest.size()));
 }
 
 bool WaitUntil(const std::function<bool()>& pred,
@@ -733,7 +754,6 @@ struct PipelinedDeployment {
   // so a hop's fan-out owes one peer multiple envelopes — the shape that
   // actually forms kEnvelopeBundle frames.
   bool Build(Round& round, Variant variant, size_t max_rounds = 8,
-             bool coalesce = true,
              std::chrono::milliseconds wire_delay = {},
              size_t groups_per_host = 1) {
     size_t width = round.NumGroups();
@@ -745,7 +765,6 @@ struct PipelinedDeployment {
       KemKeypair key = KemKeyGen(setup_rng);
       auto proc = std::make_unique<NodeProcess>(h, variant, key,
                                                 driver_key.pk, max_rounds);
-      proc->set_coalesce_sends(coalesce);
       proc->set_wire_delay(wire_delay);
       if (!proc->Listen(0)) {
         return false;
@@ -870,17 +889,52 @@ TEST(DistributedPipeline, LaneBoundRefusesExcessRoundsRoundScoped) {
   }
 }
 
+// Upper bound on one round's server-to-server data frames when every hop
+// ships one frame per remote destination host: the sum over hops of the
+// distinct hosts, other than the sender's own, that its fan-out reaches.
+// Mixing hops fan out along the topology; a trap exit hop sprays its
+// buckets to every group.
+uint64_t BundledFrameBound(const EngineRound& spec,
+                           const std::vector<uint32_t>& hosts) {
+  const Topology& topology = *spec.topology;
+  const size_t layers = topology.NumLayers();
+  const uint32_t width = static_cast<uint32_t>(topology.Width());
+  uint64_t bound = 0;
+  for (size_t layer = 0; layer < layers; layer++) {
+    for (uint32_t g = 0; g < width; g++) {
+      std::vector<uint32_t> dests;
+      if (layer + 1 < layers) {
+        dests = topology.Neighbors(layer, g);
+      } else if (spec.exit.has_value() && spec.variant == Variant::kTrap) {
+        for (uint32_t d = 0; d < width; d++) {
+          dests.push_back(d);
+        }
+      }
+      std::set<uint32_t> remote;
+      for (uint32_t d : dests) {
+        if (hosts[d] != hosts[g]) {
+          remote.insert(hosts[d]);
+        }
+      }
+      bound += remote.size();
+    }
+  }
+  return bound;
+}
+
 TEST(DistributedPipeline, CoalescingEquivalence) {
   // The WAN transport pipeline (per-peer kEnvelopeBundle coalescing +
   // async sender lanes) is pure scheduling: the same seeded specs must
-  // produce byte-identical RoundResults on the in-process engine, the
-  // coalesced deployment, and the legacy one-frame-per-envelope
-  // deployment. Every hop draws from its own derived DRBG, so neither
-  // frame packing nor arrival order may leak into the outputs. Four
-  // groups on two hosting servers so multi-envelope bundles really form
-  // (one group per host would degenerate to single-envelope frames).
+  // produce byte-identical RoundResults on the in-process engine and the
+  // mesh deployment, and both must hash to the pinned golden digest.
+  // Every hop draws from its own derived DRBG, so neither frame packing
+  // nor arrival order may leak into the outputs. Four groups on two
+  // hosting servers so multi-envelope bundles really form (one group per
+  // host would degenerate to single-envelope frames).
   PipelinedFixture fx(Variant::kTrap, /*iterations=*/2, /*num_groups=*/4);
   constexpr size_t kRounds = 2;
+  constexpr char kCoalescingDigest[] =
+      "2fb819e90acaec7fd32e8b1f4f7550b7dd3a92fc1dd5ce498b996ed2ca77baab";
   std::vector<EngineRound> specs;
   for (size_t r = 0; r < kRounds; r++) {
     specs.push_back(fx.TakeSpec(4));
@@ -899,56 +953,45 @@ TEST(DistributedPipeline, CoalescingEquivalence) {
     }
   }
 
-  struct DeploymentRun {
-    std::vector<RoundResult> results;
-    uint64_t bundles = 0;
-  };
-  auto run_deployment = [&](bool coalesce) {
-    PipelinedDeployment dep;
-    EXPECT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
-                          coalesce, /*wire_delay=*/{},
-                          /*groups_per_host=*/2));
-    DeploymentRun run;
-    {
-      DistributedRoundDriver driver(&dep.mesh, dep.hosts);
-      driver.set_coalesce_entries(coalesce);
-      driver.set_round_timeout(60s);
-      std::vector<uint64_t> tickets;
-      for (const EngineRound& spec : specs) {
-        tickets.push_back(driver.Submit(EngineRound(spec)));
-      }
-      for (uint64_t ticket : tickets) {
-        run.results.push_back(driver.Wait(ticket).round);
-      }
-      run.bundles = dep.mesh.Stats().TotalBundles();
-      for (auto& proc : dep.procs) {
-        run.bundles += proc->TransportStats().TotalBundles();
-      }
-      dep.StopAll();  // join readers before the driver dies
+  PipelinedDeployment dep;
+  ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
+                        /*wire_delay=*/{}, /*groups_per_host=*/2));
+  std::vector<RoundResult> got;
+  uint64_t frame_bound = 0;
+  uint64_t data_frames = 0;
+  {
+    DistributedRoundDriver driver(&dep.mesh, dep.hosts);
+    driver.set_round_timeout(60s);
+    std::vector<uint64_t> tickets;
+    for (const EngineRound& spec : specs) {
+      frame_bound += BundledFrameBound(spec, dep.hosts);
+      tickets.push_back(driver.Submit(EngineRound(spec)));
     }
-    return run;
-  };
-
-  DeploymentRun coalesced_run = run_deployment(true);
-  DeploymentRun legacy_run = run_deployment(false);
-  // The coalesced deployment really shipped multi-envelope bundles; the
-  // legacy one really stayed on one-frame-per-envelope.
-  EXPECT_GT(coalesced_run.bundles, 0u);
-  EXPECT_EQ(legacy_run.bundles, 0u);
-  std::vector<RoundResult>& coalesced = coalesced_run.results;
-  std::vector<RoundResult>& legacy = legacy_run.results;
+    for (uint64_t ticket : tickets) {
+      got.push_back(driver.Wait(ticket).round);
+    }
+    for (auto& proc : dep.procs) {
+      for (const auto& [peer, stats] : proc->TransportStats().per_peer) {
+        if (peer != kMeshDriverId) {
+          data_frames += stats.frames_sent;
+        }
+      }
+    }
+    dep.StopAll();  // join readers before the driver dies
+  }
+  // One frame per (hop, remote destination host): a per-envelope sender
+  // would ship one per destination group, twice this many here.
+  EXPECT_GT(data_frames, 0u);
+  EXPECT_LE(data_frames, frame_bound);
+  EXPECT_EQ(ResultsDigest(want), kCoalescingDigest);
+  EXPECT_EQ(ResultsDigest(got), kCoalescingDigest);
   for (size_t r = 0; r < kRounds; r++) {
     ASSERT_FALSE(want[r].aborted) << want[r].abort_reason;
-    ASSERT_FALSE(coalesced[r].aborted) << coalesced[r].abort_reason;
-    ASSERT_FALSE(legacy[r].aborted) << legacy[r].abort_reason;
-    EXPECT_EQ(coalesced[r].plaintexts, want[r].plaintexts)
-        << "round " << r << ": coalesced diverged from engine";
-    EXPECT_EQ(legacy[r].plaintexts, want[r].plaintexts)
-        << "round " << r << ": legacy diverged from engine";
-    EXPECT_EQ(coalesced[r].traps_seen, want[r].traps_seen);
-    EXPECT_EQ(legacy[r].traps_seen, want[r].traps_seen);
-    EXPECT_EQ(coalesced[r].inner_seen, want[r].inner_seen);
-    EXPECT_EQ(legacy[r].inner_seen, want[r].inner_seen);
+    ASSERT_FALSE(got[r].aborted) << got[r].abort_reason;
+    EXPECT_EQ(got[r].plaintexts, want[r].plaintexts)
+        << "round " << r << ": mesh diverged from engine";
+    EXPECT_EQ(got[r].traps_seen, want[r].traps_seen);
+    EXPECT_EQ(got[r].inner_seen, want[r].inner_seen);
   }
 }
 
@@ -963,7 +1006,7 @@ TEST(DistributedPipeline, PeerKilledMidBundleAbortsNotHangs) {
   // dies mid-pipeline.
   PipelinedDeployment dep;
   ASSERT_TRUE(dep.Build(*fx.round, Variant::kTrap, /*max_rounds=*/8,
-                        /*coalesce=*/true, /*wire_delay=*/50ms));
+                        /*wire_delay=*/50ms));
   {
     DistributedRoundDriver driver(&dep.mesh, dep.hosts);
     driver.set_round_timeout(30s);
@@ -1394,7 +1437,7 @@ TEST(MeshBackpressure, AsyncLaneByteBudgetDropsToAbort) {
 
 // ----------------------------------------------------------- client ingress
 
-// Twin-buildable ingress deployment: a Round fronted by a gateway, with
+// Twin-buildable ingress deployment: a Round fronted by a ReactorGateway, with
 // clients registered through the Directory. Two fixtures constructed from
 // the same seed hold byte-identical key material, so a TCP-ingress round
 // is directly comparable to an in-process-submission round.
@@ -1407,7 +1450,7 @@ struct IngressFixture {
   Rng key_rng{uint64_t{0xc11e47}};
   KemKeypair gateway_key;
   std::map<uint64_t, KemKeypair> client_keys;
-  std::unique_ptr<SubmissionGateway> gateway;
+  std::unique_ptr<ReactorGateway> gateway;
 
   explicit IngressFixture(Variant variant, uint64_t seed = 0x137e55,
                           size_t ring_capacity = 4096)
@@ -1445,8 +1488,8 @@ struct IngressFixture {
 
   bool StartGateway(GatewayConfig cfg = {}) {
     registry.SeedFromDirectory(directory);
-    gateway = std::make_unique<SubmissionGateway>(round.get(), &registry,
-                                                  gateway_key, cfg);
+    gateway = std::make_unique<ReactorGateway>(round.get(), &registry,
+                                               gateway_key, cfg);
     if (!gateway->Listen(0)) {
       return false;
     }
@@ -1490,6 +1533,8 @@ TEST(IngressEquivalence, TrapRoundViaTcpMatchesInProcess) {
   // in the same per-shard order, must produce byte-identical results.
   constexpr uint64_t kSeed = 0x7ab5eed;
   constexpr uint64_t kTakeSeed = 0x7a4e;
+  constexpr char kDigest[] =
+      "37e26a704a68bdfc582913dc965a670177b30aee0bdc26aee503e278886c38ad";
   IngressFixture net(Variant::kTrap, kSeed);
   IngressFixture local(Variant::kTrap, kSeed);
 
@@ -1525,11 +1570,15 @@ TEST(IngressEquivalence, TrapRoundViaTcpMatchesInProcess) {
       << "TCP-ingress round diverged from in-process submission";
   EXPECT_EQ(got.traps_seen, want.traps_seen);
   EXPECT_EQ(got.inner_seen, want.inner_seen);
+  EXPECT_EQ(ResultsDigest({want}), kDigest);
+  EXPECT_EQ(ResultsDigest({got}), kDigest);
 }
 
 TEST(IngressEquivalence, NizkRoundViaTcpMatchesInProcess) {
   constexpr uint64_t kSeed = 0x9ab5eed;
   constexpr uint64_t kTakeSeed = 0x94e;
+  constexpr char kDigest[] =
+      "13384ce4cf2127dcbde738bf79a042b2de0778001a5f7aa4791b0f6ddcbb45dd";
   IngressFixture net(Variant::kNizk, kSeed);
   IngressFixture local(Variant::kNizk, kSeed);
 
@@ -1560,23 +1609,49 @@ TEST(IngressEquivalence, NizkRoundViaTcpMatchesInProcess) {
   RoundResult got = RunRoundInEngine(*net.round, kTakeSeed);
   ASSERT_FALSE(got.aborted) << got.abort_reason;
   EXPECT_EQ(got.plaintexts, want.plaintexts);
+  EXPECT_EQ(ResultsDigest({want}), kDigest);
+  EXPECT_EQ(ResultsDigest({got}), kDigest);
 }
 
-TEST(IngressAuth, RequireSigsAcceptsSigningClients) {
-  // With require_sigs on, a ClientSession (which signs every kSubmit
-  // frame under its registered key) is accepted end to end — the pump's
-  // batch signature check and the proof check both pass.
+TEST(IngressAuth, UnsignedSubmitRejectedSignedAccepted) {
+  // Every kSubmit must carry a signature under the registered key. A
+  // registered client that completes the handshake but sends a bare
+  // EncodeSubmit frame gets kRejected before the submission reaches the
+  // intake — so the same submission, then signed by a ClientSession, is
+  // accepted rather than bounced as a duplicate id.
   IngressFixture fx(Variant::kNizk);
   fx.AddClient(500);
-  GatewayConfig cfg;
-  cfg.require_sigs = true;
-  ASSERT_TRUE(fx.StartGateway(cfg));
+  ASSERT_TRUE(fx.StartGateway());
   fx.gateway->OpenRound(1);
+  Rng rng(uint64_t{0xabc1});
+  NizkSubmission sub = fx.MakeNizk(500, 0, rng, "signed hello");
+
+  auto socket = TcpSocket::Dial("127.0.0.1", fx.gateway->port());
+  ASSERT_TRUE(socket.has_value());
+  auto link = SecureLink::Dial(std::move(*socket), 500, fx.client_keys[500],
+                               kGatewayLinkId, fx.gateway_key.pk, rng);
+  ASSERT_NE(link, nullptr);
+  Bytes encoded = EncodeNizkSubmission(sub);
+  ASSERT_TRUE(link->Send(BytesView(PackClientFrame(
+      ClientMsg::kSubmit, BytesView(EncodeSubmit(7, BytesView(encoded)))))));
+  std::optional<SubmitResultMsg> verdict;
+  while (!verdict.has_value()) {
+    auto payload = link->Recv();
+    ASSERT_TRUE(payload.has_value()) << "link died before the verdict";
+    auto frame = UnpackClientFrame(BytesView(*payload));
+    ASSERT_TRUE(frame.has_value());
+    if (frame->type == ClientMsg::kSubmitResult) {
+      verdict = DecodeSubmitResult(BytesView(frame->body));
+      ASSERT_TRUE(verdict.has_value());
+    }
+  }
+  EXPECT_EQ(verdict->seq, 7u);
+  EXPECT_EQ(verdict->status, SubmitStatus::kRejected);
+  link->Shutdown();
+
   auto session = fx.Connect(500);
   ASSERT_NE(session, nullptr);
-  Rng rng(uint64_t{0xabc1});
-  EXPECT_TRUE(session->SendMessage(BytesView(ToBytes("signed hello")), 0,
-                                   rng));
+  EXPECT_TRUE(session->SubmitAndWait(sub));
   fx.gateway->Cutoff();
   EXPECT_EQ(fx.gateway->accepted_count(), 1u);
 }

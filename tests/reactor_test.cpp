@@ -1,7 +1,6 @@
-// Tests for the epoll reactor ingress tier (src/net/reactor.h): the
-// reactor gateway serves the exact SubmissionGateway protocol (a seeded
+// Tests for the epoll reactor ingress tier (src/net/reactor.h): a seeded
 // round driven through TCP ClientSessions is byte-identical to its
-// in-process twin), verdict semantics match the blocking backend
+// in-process twin, the pre-verification verdicts are pinned explicitly
 // (kClosed / kForeignId / kRejected), slowloris-style stalled handshakes
 // and idle sessions are reaped by deadline, FaultPlan's gateway churn
 // injection point works mid-stream, Stop() under connect/submit load is
@@ -40,10 +39,8 @@ bool WaitUntil(const std::function<bool()>& pred,
   return pred();
 }
 
-// Twin-buildable ingress deployment over the backend factory: same shape
-// as net_test's IngressFixture, but the gateway is whichever backend the
-// test asks for — the point being that every test here would pass
-// verbatim against SubmissionGateway too.
+// Twin-buildable ingress deployment: the same shape as net_test's
+// IngressFixture, plus an optional FaultPlan for the churn tests.
 struct ReactorFixture {
   RoundConfig config;
   Rng round_rng;
@@ -53,7 +50,7 @@ struct ReactorFixture {
   Rng key_rng{uint64_t{0x4eac7}};
   KemKeypair gateway_key;
   std::map<uint64_t, KemKeypair> client_keys;
-  std::unique_ptr<ClientGateway> gateway;
+  std::unique_ptr<ReactorGateway> gateway;
 
   explicit ReactorFixture(Variant variant, uint64_t seed = 0x4eac7)
       : round_rng(seed) {
@@ -84,11 +81,10 @@ struct ReactorFixture {
   }
 
   bool StartGateway(GatewayConfig cfg = {},
-                    GatewayBackend backend = GatewayBackend::kReactor,
                     std::shared_ptr<FaultPlan> plan = nullptr) {
     registry.SeedFromDirectory(directory);
-    gateway = MakeClientGateway(backend, round.get(), &registry,
-                                gateway_key, cfg);
+    gateway = std::make_unique<ReactorGateway>(round.get(), &registry,
+                                               gateway_key, cfg);
     if (plan != nullptr) {
       gateway->SetFaultPlan(std::move(plan));
     }
@@ -167,7 +163,7 @@ TEST(ReactorEquivalence, TrapRoundViaTcpMatchesInProcess) {
   EXPECT_EQ(got.inner_seen, want.inner_seen);
 }
 
-TEST(ReactorParity, VerdictsMatchBlockingBackend) {
+TEST(ReactorParity, ExplicitVerdicts) {
   ReactorFixture fx(Variant::kTrap);
   fx.AddClient(700);
   fx.AddClient(701);
@@ -266,7 +262,7 @@ TEST(ReactorHardening, FaultPlanDisconnectsMidStream) {
   fx.AddClient(740);
   auto plan = std::make_shared<FaultPlan>(uint64_t{0x5eed});
   plan->set_client_disconnect_rate(1.0);
-  ASSERT_TRUE(fx.StartGateway({}, GatewayBackend::kReactor, plan));
+  ASSERT_TRUE(fx.StartGateway({}, plan));
   fx.gateway->OpenRound(1);
 
   auto session = fx.Connect(740);

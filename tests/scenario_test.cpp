@@ -340,21 +340,17 @@ long RssKb() {
   return kb;
 }
 
-// The 10x-population reactor runs: the same invariant matrix (liveness,
-// blame, fidelity, workload) the small scenarios assert, over the epoll
-// gateway, plus resource hygiene — sockets and memory must return to
+// The 10x-population runs: the same invariant matrix (liveness, blame,
+// fidelity, workload) the small scenarios assert, plus resource hygiene — sockets and memory must return to
 // baseline after the run (a per-connection or per-round leak at this
 // population is visible; at the small one it hides). A small warmup run
 // settles one-time allocations (thread pool, allocator arenas) so the
 // measured run's growth is the scenario's own.
 void RunTenXOverReactor(const char* name, uint64_t warm_seed,
                         uint64_t seed) {
-  ScenarioConfig warmup = SmallScenario(name, warm_seed);
-  warmup.gateway_backend = GatewayBackend::kReactor;
-  RunAndExpectOk(warmup);
+  RunAndExpectOk(SmallScenario(name, warm_seed));
 
   ScenarioConfig config = SmallScenario(name, seed);
-  config.gateway_backend = GatewayBackend::kReactor;
   config.users = 40;  // 10x the small population
   size_t fds_before = CountOpenFds();
   long rss_before = RssKb();
