@@ -1,14 +1,8 @@
-// Measures the encrypted TCP transport (src/net/) on loopback:
-//
-//   1. SecureLink record throughput and ping-pong latency — the raw cost
-//      of the AEAD record layer + kernel sockets, i.e. what every
-//      inter-server protocol byte pays compared to LocalBus's free
-//      in-process delivery.
-//   2. One full trap group hop (3 servers) driven through LocalBus vs.
-//      through a TcpPeerMesh of NodeProcess servers in this process, over
-//      real sockets. The delta is the transport tax on a protocol round;
-//      the paper's deployment model (§6) assumes WAN latency dominates,
-//      so the loopback tax should be small next to the crypto.
+// Measures the encrypted TCP transport's record layer (src/net/link.h) on
+// loopback: SecureLink record throughput and ping-pong latency — the raw
+// cost of the AEAD record layer + kernel sockets that every inter-server
+// protocol byte pays. Whole distributed rounds over the mesh are measured
+// by bench_distributed_pipeline.
 //
 // Usage: bench_transport_loopback [--smoke]
 #include <chrono>
@@ -19,10 +13,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/core/node.h"
 #include "src/net/link.h"
-#include "src/net/mesh.h"
-#include "src/net/node_process.h"
 #include "src/util/rng.h"
 
 namespace {
@@ -121,122 +112,15 @@ void BenchRecords(bool smoke, BenchJson& json) {
   json.Num("ping_pong_rtt_us", rtt_us);
 }
 
-struct HopSetup {
-  Rng rng{uint64_t{0x407a}};
-  DkgResult dkg;
-  std::vector<uint32_t> chain = {100, 101, 102};
-  CiphertextBatch batch;
-
-  explicit HopSetup(size_t messages) {
-    dkg = RunDkg(DkgParams{3, 3}, rng);
-    batch.resize(messages);
-    for (size_t i = 0; i < messages; i++) {
-      Bytes payload = {static_cast<uint8_t>(i), 0x42};
-      batch[i].push_back(ElGamalEncrypt(
-          dkg.pub.group_pk, *EmbedMessage(BytesView(payload)), rng));
-    }
-  }
-
-  NodeMsg Entry() const {
-    NodeMsg msg;
-    msg.type = NodeMsg::Type::kShuffleStep;
-    msg.gid = 0;
-    msg.chain_pos = 0;
-    msg.batch = batch;
-    return msg;
-  }
-};
-
-double BenchHop(Bus& bus, const HopSetup& setup, Rng& run_rng, int rounds) {
-  auto start = Clock::now();
-  for (int r = 0; r < rounds; r++) {
-    bus.ClearOutputs();
-    bus.Send(Envelope{100, setup.Entry()});
-    if (!bus.Run(run_rng)) {
-      std::fprintf(stderr, "hop aborted\n");
-      return -1;
-    }
-  }
-  return MsSince(start) / rounds;
-}
-
-void BenchGroupHop(bool smoke, BenchJson& json) {
-  const size_t messages = smoke ? 8 : 64;
-  const int rounds = smoke ? 2 : 8;
-  HopSetup setup(messages);
-
-  // LocalBus.
-  LocalBus local;
-  std::vector<std::unique_ptr<AtomNode>> nodes;
-  for (uint32_t pos = 0; pos < 3; pos++) {
-    nodes.push_back(
-        std::make_unique<AtomNode>(setup.chain[pos], Variant::kTrap));
-    nodes.back()->JoinGroup(0, MakeNodeGroupKeys(setup.dkg, setup.chain, pos));
-    local.RegisterNode(nodes.back().get());
-  }
-  Rng run_rng_local(uint64_t{11});
-  BenchHop(local, setup, run_rng_local, 1);  // warmup
-  double local_ms = BenchHop(local, setup, run_rng_local, rounds);
-
-  // TcpPeerMesh over loopback NodeProcesses.
-  Rng key_rng(uint64_t{12});
-  KemKeypair driver_key = KemKeyGen(key_rng);
-  TcpPeerMesh driver(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
-  std::vector<std::unique_ptr<NodeProcess>> procs;
-  std::vector<MeshPeer> roster;
-  for (uint32_t pos = 0; pos < 3; pos++) {
-    KemKeypair key = KemKeyGen(key_rng);
-    auto proc = std::make_unique<NodeProcess>(setup.chain[pos],
-                                              Variant::kTrap, key,
-                                              driver_key.pk);
-    proc->Listen(0);
-    proc->Start();
-    roster.push_back(
-        MeshPeer{setup.chain[pos], "127.0.0.1", proc->port(), key.pk});
-    procs.push_back(std::move(proc));
-  }
-  driver.SetRoster(roster);
-  if (!driver.ConnectAndPushRoster()) {
-    std::fprintf(stderr, "mesh setup failed\n");
-    return;
-  }
-  for (uint32_t pos = 0; pos < 3; pos++) {
-    driver.SendJoinGroup(setup.chain[pos], 0,
-                         MakeNodeGroupKeys(setup.dkg, setup.chain, pos));
-  }
-  Rng run_rng_mesh(uint64_t{11});
-  BenchHop(driver, setup, run_rng_mesh, 1);  // warmup
-  double mesh_ms = BenchHop(driver, setup, run_rng_mesh, rounds);
-  driver.Stop();
-  for (auto& proc : procs) {
-    proc->Stop();
-  }
-
-  std::printf("\nTrap group hop, 3 servers, %zu messages (avg of %d):\n",
-              messages, rounds);
-  std::printf("  LocalBus (in-process):      %8.2f ms\n", local_ms);
-  std::printf("  TcpPeerMesh (3 processes'\n"
-              "   worth of loopback links):  %8.2f ms\n", mesh_ms);
-  if (local_ms > 0) {
-    std::printf("  transport tax:              %8.2f ms (%.1f%%)\n",
-                mesh_ms - local_ms, 100.0 * (mesh_ms - local_ms) / local_ms);
-  }
-  json.Num("hop_messages", static_cast<double>(messages));
-  json.Num("local_bus_hop_ms", local_ms);
-  json.Num("mesh_hop_ms", mesh_ms);
-  json.Num("transport_tax_ms", mesh_ms - local_ms);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::printf("==============================================================\n");
-  std::printf("Encrypted TCP transport vs in-process delivery (loopback)\n");
+  std::printf("Encrypted TCP transport record layer (loopback)\n");
   std::printf("==============================================================\n");
   BenchJson json("transport_loopback");
   json.Bool("smoke", smoke);
   BenchRecords(smoke, json);
-  BenchGroupHop(smoke, json);
   return 0;
 }

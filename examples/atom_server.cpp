@@ -1,10 +1,11 @@
 // atom_server: one Atom server in one OS process.
 //
-// Hosts a single AtomNode behind the encrypted TCP peer mesh
-// (src/net/node_process.h). Everything else — the peer roster, per-group
-// key shares, run keys, and protocol traffic — arrives over authenticated
-// links from the round driver (see examples/distributed_nodes.cpp, which
-// spawns a fleet of these and drives a round through it).
+// Hosts a NodeProcess behind the encrypted TCP peer mesh
+// (src/net/node_process.h). Everything else — the peer roster, the DKG
+// material of the groups it hosts, round specs, and hop traffic — arrives
+// over authenticated links from the round driver (see
+// examples/distributed_nodes.cpp, which spawns a fleet of these and
+// drives pipelined rounds through it).
 //
 //   atom_server --id N (--keyfile PATH | --sk <hex32>) --driver-pk <hex33>
 //               [--port P] [--variant trap|nizk]

@@ -107,7 +107,7 @@ struct RoundEngine::RoundState {
   // Engine-native exit state (allocated only when spec.exit is set). Each
   // stage writes per-gid slots, so slot writes never race; the acq_rel
   // countdowns publish them to the next stage, exactly like HopNode.
-  bool native_exit = false;
+  bool has_exit_plan = false;
   std::vector<ExitSort> sorted;             // trap: per source gid
   std::vector<std::vector<Bytes>> decoded;  // nizk: per gid
   std::atomic<size_t> sorts_pending{0};     // barrier before the checks
@@ -209,7 +209,7 @@ uint64_t RoundEngine::Submit(EngineRound round) {
   rs->exits.resize(rs->width);
   size_t total_tasks = rs->layers * rs->width;
   if (spec.exit.has_value()) {
-    rs->native_exit = true;
+    rs->has_exit_plan = true;
     if (spec.variant == Variant::kTrap) {
       ATOM_CHECK_MSG(spec.exit->trustees != nullptr,
                      "trap exit plan needs a trustee group");
@@ -381,7 +381,7 @@ void RoundEngine::ExecuteHop(const std::shared_ptr<RoundState>& rs,
 
   if (last) {
     rs->exits[gid] = std::move(out[0]);  // per-gid slot: no lock needed
-    if (rs->native_exit) {
+    if (rs->has_exit_plan) {
       // The exit batch continues straight into this round's exit-stage
       // DAG; ExecuteExitSort consumes the slot.
       pool_->Submit([this, rs, gid] { ExecuteExitSort(rs, gid); },
@@ -559,7 +559,7 @@ EngineRoundResult RoundEngine::Wait(uint64_t ticket) {
   rs->cv.wait(lock, [&] { return rs->done; });
 
   EngineRoundResult result;
-  if (rs->native_exit) {
+  if (rs->has_exit_plan) {
     // The engine consumed the exit batches; the full round outcome
     // (including a trustee-refused abort) lives in `round`.
     result.round = std::move(rs->round);

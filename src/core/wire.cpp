@@ -111,31 +111,6 @@ bool GetBatch(ByteReader& r, CiphertextBatch* out) {
   return true;
 }
 
-void PutPoints(ByteWriter& w, const std::vector<Point>& points) {
-  w.U32(static_cast<uint32_t>(points.size()));
-  w.Raw(BytesView(EncodePoints(points)));
-}
-
-bool GetPoints(ByteReader& r, std::vector<Point>* out) {
-  auto n = r.U32();
-  if (!n || *n > (1u << 20)) {
-    return false;
-  }
-  out->reserve(*n);
-  for (uint32_t i = 0; i < *n; i++) {
-    auto raw = r.Raw(Point::kEncodedSize);
-    if (!raw) {
-      return false;
-    }
-    auto p = Point::Decode(BytesView(*raw));
-    if (!p) {
-      return false;
-    }
-    out->push_back(*p);
-  }
-  return true;
-}
-
 }  // namespace
 
 Bytes EncodeDkgDealing(const DkgDealing& dealing) {
@@ -220,32 +195,13 @@ namespace {
 // Exact serialized size of EncodeNodeMsg's output, so the hot fan-out
 // path reserves once instead of growing the buffer geometrically while
 // appending megabytes of ciphertexts. Must mirror EncodeNodeMsg
-// field-for-field; `shuffle_proof_size` is the pre-encoded proof length
-// (the one sub-encoding whose size is not derivable without encoding).
-size_t NodeMsgEncodedSize(const NodeMsg& msg, size_t shuffle_proof_size) {
-  auto vec_size = [](const ElGamalCiphertextVec& v) {
-    return 4 + v.size() * ElGamalCiphertext::kEncodedSize;
-  };
-  auto batch_size = [&vec_size](const CiphertextBatch& b) {
-    size_t s = 4;
-    for (const auto& v : b) {
-      s += vec_size(v);
-    }
-    return s;
-  };
-  size_t s = 1 + 4 + 4 + 4;  // type, gid, chain_pos, prev_pos
-  s += 4 + msg.next_pks.size() * Point::kEncodedSize;
-  s += batch_size(msg.batch) + batch_size(msg.prev_batch);
-  s += 1 + (msg.shuffle_proof.has_value() ? 4 + shuffle_proof_size : 0);
+// field-for-field.
+size_t NodeMsgEncodedSize(const NodeMsg& msg) {
+  size_t s = 1 + 4 + 4 + 4;  // type, gid, layer, src_gid
   s += 4;
-  for (const auto& sub : msg.subs) {
-    s += batch_size(sub);
+  for (const auto& vec : msg.batch) {
+    s += 4 + vec.size() * ElGamalCiphertext::kEncodedSize;
   }
-  s += 4;
-  for (const auto& sub : msg.prev_subs) {
-    s += batch_size(sub);
-  }
-  s += 4 + msg.reenc_proofs.size() * ReEncProof::kEncodedSize;
   s += 4;
   for (const Bytes& b : msg.exit_traps) {
     s += 4 + b.size();
@@ -262,36 +218,12 @@ size_t NodeMsgEncodedSize(const NodeMsg& msg, size_t shuffle_proof_size) {
 }  // namespace
 
 Bytes EncodeNodeMsg(const NodeMsg& msg) {
-  Bytes proof_bytes;
-  if (msg.shuffle_proof.has_value()) {
-    proof_bytes = msg.shuffle_proof->Encode();
-  }
-  ByteWriter w(NodeMsgEncodedSize(msg, proof_bytes.size()));
+  ByteWriter w(NodeMsgEncodedSize(msg));
   w.U8(static_cast<uint8_t>(msg.type));
   w.U32(msg.gid);
-  w.U32(msg.chain_pos);
-  w.U32(msg.prev_pos);
-  PutPoints(w, msg.next_pks);
+  w.U32(msg.layer);
+  w.U32(msg.src_gid);
   PutBatch(w, msg.batch);
-  PutBatch(w, msg.prev_batch);
-  if (msg.shuffle_proof.has_value()) {
-    w.U8(1);
-    w.Var(BytesView(proof_bytes));
-  } else {
-    w.U8(0);
-  }
-  w.U32(static_cast<uint32_t>(msg.subs.size()));
-  for (const auto& sub : msg.subs) {
-    PutBatch(w, sub);
-  }
-  w.U32(static_cast<uint32_t>(msg.prev_subs.size()));
-  for (const auto& sub : msg.prev_subs) {
-    PutBatch(w, sub);
-  }
-  w.U32(static_cast<uint32_t>(msg.reenc_proofs.size()));
-  for (const auto& proof : msg.reenc_proofs) {
-    w.Raw(BytesView(proof.Encode()));
-  }
   auto put_bytes_vec = [&w](const std::vector<Bytes>& v) {
     w.U32(static_cast<uint32_t>(v.size()));
     for (const Bytes& b : v) {
@@ -318,68 +250,14 @@ std::optional<NodeMsg> DecodeNodeMsg(BytesView bytes) {
   }
   msg.type = static_cast<NodeMsg::Type>(*type);
   auto gid = r.U32();
-  auto chain_pos = r.U32();
-  auto prev_pos = r.U32();
-  if (!gid || !chain_pos || !prev_pos) {
+  auto layer = r.U32();
+  auto src_gid = r.U32();
+  if (!gid || !layer || !src_gid || !GetBatch(r, &msg.batch)) {
     return std::nullopt;
   }
   msg.gid = *gid;
-  msg.chain_pos = *chain_pos;
-  msg.prev_pos = *prev_pos;
-  if (!GetPoints(r, &msg.next_pks) || !GetBatch(r, &msg.batch) ||
-      !GetBatch(r, &msg.prev_batch)) {
-    return std::nullopt;
-  }
-  auto has_proof = r.U8();
-  if (!has_proof || *has_proof > 1) {
-    return std::nullopt;
-  }
-  if (*has_proof == 1) {
-    auto raw = r.Var();
-    if (!raw) {
-      return std::nullopt;
-    }
-    auto proof = ShuffleProof::Decode(BytesView(*raw));
-    if (!proof) {
-      return std::nullopt;
-    }
-    msg.shuffle_proof = std::move(*proof);
-  }
-  auto get_batches = [&r](std::vector<CiphertextBatch>* out) -> bool {
-    auto n = r.U32();
-    if (!n || *n > (1u << 16)) {
-      return false;
-    }
-    out->resize(*n);
-    for (uint32_t i = 0; i < *n; i++) {
-      if (!GetBatch(r, &(*out)[i])) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (!get_batches(&msg.subs) || !get_batches(&msg.prev_subs)) {
-    return std::nullopt;
-  }
-  auto num_proofs = r.U32();
-  // Same reserve-bounding as the byte vectors below: a proof count the
-  // remaining bytes cannot possibly hold is rejected before allocation.
-  if (!num_proofs ||
-      *num_proofs > r.remaining() / ReEncProof::kEncodedSize) {
-    return std::nullopt;
-  }
-  msg.reenc_proofs.reserve(*num_proofs);
-  for (uint32_t i = 0; i < *num_proofs; i++) {
-    auto raw = r.Raw(ReEncProof::kEncodedSize);
-    if (!raw) {
-      return std::nullopt;
-    }
-    auto proof = ReEncProof::Decode(BytesView(*raw));
-    if (!proof) {
-      return std::nullopt;
-    }
-    msg.reenc_proofs.push_back(*proof);
-  }
+  msg.layer = *layer;
+  msg.src_gid = *src_gid;
   auto get_bytes_vec = [&r](std::vector<Bytes>* out) -> bool {
     auto n = r.U32();
     // Every entry costs at least its 4-byte length prefix, so a count

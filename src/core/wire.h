@@ -1,15 +1,20 @@
-// Wire encodings for client-to-server protocol messages. Everything a user
-// uploads to its entry group serializes through these functions; decoding
-// validates structure (point/scalar well-formedness comes from the
-// underlying Decode routines) so a malformed upload is rejected before any
-// proof verification work.
+// Wire encodings for everything that crosses a process boundary: client
+// submissions uploaded to an entry group, the inter-server envelopes of
+// distributed engine rounds, and DKG setup gossip. Decoding validates
+// structure (point/scalar well-formedness comes from the underlying
+// Decode routines) and bounds every count against the bytes present, so a
+// malformed or hostile frame is rejected before any proof verification or
+// large allocation.
 #ifndef SRC_CORE_WIRE_H_
 #define SRC_CORE_WIRE_H_
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "src/core/client.h"
-#include "src/core/node.h"
+#include "src/core/trustees.h"
+#include "src/crypto/shuffle.h"
 
 namespace atom {
 
@@ -19,15 +24,50 @@ std::optional<NizkSubmission> DecodeNizkSubmission(BytesView bytes);
 Bytes EncodeTrapSubmission(const TrapSubmission& submission);
 std::optional<TrapSubmission> DecodeTrapSubmission(BytesView bytes);
 
-// Inter-server protocol envelopes (the node runtime's messages): what a
-// network transport puts on the wire between Atom servers (src/net/).
+// One inter-server message of a distributed engine round
+// (src/net/round_driver.h, src/net/node_process.h). A server hosting a
+// topology group executes whole group hops (GroupRuntime::RunHop), so
+// overlapping rounds flow between processes as round-tagged envelopes.
+struct NodeMsg {
+  enum class Type : uint8_t {
+    kAbort,        // the round cannot complete; abort_reason says why
+    kHopBatch,     // one sub-batch for hop (layer, gid) from group src_gid;
+                   // the driver injects layer 0 with src_gid 0
+    kExitBuckets,  // exit sort output: group src_gid's trap/inner buckets
+                   // destined for group gid's §4.4 check
+    kExitReport,   // dest group gid's GroupReport + gathered inner cts
+    kExitPlain,    // NIZK exit: group gid's decoded plaintexts
+  };
+
+  Type type = Type::kHopBatch;
+  uint32_t gid = 0;
+  uint32_t layer = 0;    // kHopBatch: the hop's layer
+  uint32_t src_gid = 0;  // kHopBatch/kExitBuckets: the sending group
+
+  CiphertextBatch batch;          // kHopBatch
+  std::vector<Bytes> exit_traps;  // kExitBuckets: trap bucket for gid
+  std::vector<Bytes> exit_inner;  // kExitBuckets: inner bucket;
+                                  // kExitReport: gathered inner (ascending
+                                  // source gid); kExitPlain: plaintexts
+  GroupReport report;             // kExitReport
+  std::string abort_reason;       // kAbort
+};
+
+// A routed message: destination server id (kMeshDriverId for driver-bound
+// results and aborts) and the round it belongs to. Overlapping rounds
+// demultiplex on each server by this tag into per-round state.
+struct Envelope {
+  uint32_t to_server = 0;
+  NodeMsg msg;
+  uint64_t round_id = 0;
+};
+
 Bytes EncodeNodeMsg(const NodeMsg& msg);
 std::optional<NodeMsg> DecodeNodeMsg(BytesView bytes);
 
-// A routed envelope: destination server id + message. This is the payload
-// of the TCP transport's encrypted kEnvelope frames; decoding applies the
-// same length caps as DecodeNodeMsg, so an oversize or truncated frame is
-// rejected before any crypto work.
+// The payload of the TCP transport's encrypted kEnvelope frames; decoding
+// applies the same length caps as DecodeNodeMsg, so an oversize or
+// truncated frame is rejected before any crypto work.
 Bytes EncodeEnvelope(const Envelope& envelope);
 std::optional<Envelope> DecodeEnvelope(BytesView bytes);
 

@@ -310,104 +310,29 @@ std::optional<RosterMsg> DecodeRoster(BytesView bytes) {
   return msg;
 }
 
-Bytes EncodeJoinGroup(uint64_t seq, uint32_t gid, const NodeGroupKeys& keys) {
-  ByteWriter w;
-  w.U64(seq);
-  w.U32(gid);
-  w.U32(static_cast<uint32_t>(keys.pub.params.k));
-  w.U32(static_cast<uint32_t>(keys.pub.params.threshold));
-  PutPoint(w, keys.pub.group_pk);
-  w.U32(static_cast<uint32_t>(keys.pub.share_pks.size()));
-  for (const Point& p : keys.pub.share_pks) {
-    PutPoint(w, p);
-  }
-  PutU32Vec(w, keys.pub.disqualified);
-  w.U32(keys.key.index);
-  auto share = keys.key.share.ToBytes();
-  w.Raw(BytesView(share.data(), share.size()));
-  PutU32Vec(w, keys.subset);
-  PutU32Vec(w, keys.chain_servers);
-  return w.Take();
-}
-
-std::optional<JoinGroupMsg> DecodeJoinGroup(BytesView bytes) {
-  ByteReader r(bytes);
-  JoinGroupMsg msg;
-  auto seq = r.U64();
-  auto gid = r.U32();
-  auto k = r.U32();
-  auto threshold = r.U32();
-  auto group_pk = GetPoint(r);
-  auto num_share_pks = r.U32();
-  if (!seq || !gid || !k || !threshold || !group_pk || !num_share_pks ||
-      *num_share_pks > kMaxGroupMembers) {
-    return std::nullopt;
-  }
-  msg.seq = *seq;
-  msg.gid = *gid;
-  msg.keys.pub.params.k = *k;
-  msg.keys.pub.params.threshold = *threshold;
-  msg.keys.pub.group_pk = *group_pk;
-  for (uint32_t i = 0; i < *num_share_pks; i++) {
-    auto p = GetPoint(r);
-    if (!p) {
-      return std::nullopt;
-    }
-    msg.keys.pub.share_pks.push_back(*p);
-  }
-  if (!GetU32Vec(r, &msg.keys.pub.disqualified)) {
-    return std::nullopt;
-  }
-  auto index = r.U32();
-  auto share_raw = r.Raw(32);
-  if (!index || !share_raw) {
-    return std::nullopt;
-  }
-  auto share = Scalar::FromBytes(BytesView(*share_raw));
-  if (!share) {
-    return std::nullopt;
-  }
-  msg.keys.key.index = *index;
-  msg.keys.key.share = *share;
-  if (!GetU32Vec(r, &msg.keys.subset) ||
-      !GetU32Vec(r, &msg.keys.chain_servers) || !r.Done()) {
-    return std::nullopt;
-  }
-  if (msg.keys.subset.size() != msg.keys.chain_servers.size()) {
-    return std::nullopt;  // AtomNode::JoinGroup would abort on this
-  }
-  return msg;
-}
-
 Bytes EncodeBeginRound(uint64_t seq, uint64_t round_id,
                        const std::array<uint8_t, 32>& root_key,
-                       const WireRoundSpec* spec) {
+                       const WireRoundSpec& spec) {
   ByteWriter w;
   w.U64(seq);
   w.U64(round_id);
   w.Raw(BytesView(root_key.data(), root_key.size()));
-  if (spec == nullptr) {
-    w.U8(0);
-    return w.Take();
-  }
-  w.U8(1);
-  w.U8(spec->variant);
-  w.U32(spec->layers);
-  w.U32(spec->width);
-  w.U32(spec->hop_workers);
+  w.U8(spec.variant);
+  w.U32(spec.layers);
+  w.U32(spec.width);
+  w.U32(spec.hop_workers);
   // Delta/bitmap-compressed: the square network's complete-bipartite rows
   // would otherwise cost 4 bytes per edge, O(G²) per layer boundary.
-  w.Raw(BytesView(EncodeAdjacency(spec->adjacency, spec->width)));
-  PutU32Vec(w, spec->hosts);
-  for (const Point& pk : spec->group_pks) {
+  w.Raw(BytesView(EncodeAdjacency(spec.adjacency, spec.width)));
+  PutU32Vec(w, spec.hosts);
+  for (const Point& pk : spec.group_pks) {
     PutPoint(w, pk);
   }
-  w.U8(spec->native_exit ? 1 : 0);
-  w.U32(spec->plaintext_len);
-  w.U32(spec->padded_len);
-  w.U32(spec->num_points);
-  w.U32(static_cast<uint32_t>(spec->commitments.size()));
-  for (const auto& group : spec->commitments) {
+  w.U32(spec.plaintext_len);
+  w.U32(spec.padded_len);
+  w.U32(spec.num_points);
+  w.U32(static_cast<uint32_t>(spec.commitments.size()));
+  for (const auto& group : spec.commitments) {
     w.U32(static_cast<uint32_t>(group.size()));
     for (const auto& c : group) {
       w.Raw(BytesView(c.data(), c.size()));
@@ -421,21 +346,14 @@ std::optional<BeginRoundMsg> DecodeBeginRound(BytesView bytes) {
   auto seq = r.U64();
   auto round_id = r.U64();
   auto key = r.Raw(32);
-  auto has_spec = r.U8();
-  if (!seq || !round_id || !key || !has_spec || *has_spec > 1) {
+  if (!seq || !round_id || !key) {
     return std::nullopt;
   }
   BeginRoundMsg msg;
   msg.seq = *seq;
   msg.round_id = *round_id;
   std::copy(key->begin(), key->end(), msg.root_key.begin());
-  if (*has_spec == 0) {
-    if (!r.Done()) {
-      return std::nullopt;
-    }
-    return msg;
-  }
-  WireRoundSpec spec;
+  WireRoundSpec& spec = msg.spec;
   auto variant = r.U8();
   auto layers = r.U32();
   auto width = r.U32();
@@ -465,17 +383,14 @@ std::optional<BeginRoundMsg> DecodeBeginRound(BytesView bytes) {
     }
     spec.group_pks.push_back(*pk);
   }
-  auto native = r.U8();
   auto plaintext_len = r.U32();
   auto padded_len = r.U32();
   auto num_points = r.U32();
   auto num_commit_groups = r.U32();
-  if (!native || *native > 1 || !plaintext_len || !padded_len ||
-      !num_points || !num_commit_groups ||
+  if (!plaintext_len || !padded_len || !num_points || !num_commit_groups ||
       *num_commit_groups > kMaxGroups) {
     return std::nullopt;
   }
-  spec.native_exit = *native == 1;
   spec.plaintext_len = *plaintext_len;
   spec.padded_len = *padded_len;
   spec.num_points = *num_points;
@@ -499,7 +414,6 @@ std::optional<BeginRoundMsg> DecodeBeginRound(BytesView bytes) {
   if (!r.Done()) {
     return std::nullopt;
   }
-  msg.spec = std::move(spec);
   return msg;
 }
 

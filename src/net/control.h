@@ -3,10 +3,10 @@
 // serialized by EncodeEnvelope in src/core/wire.h) or one of the driver's
 // setup/synchronization messages. Control messages carry a sequence
 // number the receiver echoes back in a kAck, which is how the driver
-// guarantees cross-link ordering: a server has applied the roster, group
-// keys, and run key before any protocol traffic that depends on them can
-// reach it (chain traffic arrives on *different* links, so per-link FIFO
-// alone is not enough).
+// guarantees cross-link ordering: a server has applied the roster, hosted
+// group keys, and round spec before any protocol traffic that depends on
+// them can reach it (hop traffic arrives on *different* links, so
+// per-link FIFO alone is not enough).
 #ifndef SRC_NET_CONTROL_H_
 #define SRC_NET_CONTROL_H_
 
@@ -15,23 +15,22 @@
 #include <string>
 #include <vector>
 
-#include "src/core/node.h"
+#include "src/crypto/dkg.h"
 #include "src/obs/metrics.h"
 #include "src/util/bytes.h"
 
 namespace atom {
 
-// The driver's reserved id on the mesh: kGroupOutput/kAbort envelopes are
-// routed to it. Server ids must be nonzero.
+// The driver's reserved id on the mesh: round results and kAbort
+// envelopes are routed to it. Server ids must be nonzero.
 inline constexpr uint32_t kMeshDriverId = 0;
 
 enum class LinkMsg : uint8_t {
   kEnvelope = 1,   // EncodeEnvelope payload (protocol data plane)
   kRoster = 2,     // peer directory: who serves which id, where, which key
-  kJoinGroup = 3,  // per-group key material for the receiving server
-  kBeginRound = 4, // opens round round_id: 256-bit root key, and for
-                   // pipelined engine rounds the full round spec (topology,
-                   // hosts, group keys, layout, trap commitments)
+  kBeginRound = 4, // opens round round_id: 256-bit root key and the round
+                   // spec (topology, hosts, group keys, layout, trap
+                   // commitments)
   kAck = 5,        // acknowledges one control message by sequence number
   kHostGroup = 6,  // full DKG material: the receiver hosts this group's
                    // engine hops (distributed pipelined rounds)
@@ -66,14 +65,6 @@ struct RosterMsg {
 };
 std::optional<RosterMsg> DecodeRoster(BytesView bytes);
 
-Bytes EncodeJoinGroup(uint64_t seq, uint32_t gid, const NodeGroupKeys& keys);
-struct JoinGroupMsg {
-  uint64_t seq = 0;
-  uint32_t gid = 0;
-  NodeGroupKeys keys;
-};
-std::optional<JoinGroupMsg> DecodeJoinGroup(BytesView bytes);
-
 // adjacency[layer][gid] -> that group's neighbour list in layer+1.
 using AdjacencyTable = std::vector<std::vector<std::vector<uint32_t>>>;
 
@@ -97,11 +88,9 @@ std::optional<AdjacencyTable> DecodeAdjacency(BytesView bytes,
                                               uint32_t boundaries,
                                               uint32_t width);
 
-// The wire form of one pipelined engine round's execution plan: everything
-// a hosting server needs to run its groups' hops and exit checks without
-// any global barrier. Shipped inside kBeginRound; absent for legacy
-// chain-protocol rounds (AtomNode message traffic), which only need the
-// root key.
+// The wire form of one engine round's execution plan: everything a
+// hosting server needs to run its groups' hops and exit checks without
+// any global barrier. Shipped inside kBeginRound.
 struct WireRoundSpec {
   uint8_t variant = 0;       // static_cast<uint8_t>(Variant)
   uint32_t layers = 0;       // mixing iterations T
@@ -114,10 +103,8 @@ struct WireRoundSpec {
   AdjacencyTable adjacency;
   std::vector<uint32_t> hosts;   // width: server id executing each group
   std::vector<Point> group_pks;  // width: each group's threshold key
-  // Exit plan (engine-native exit). When false the exit batches route
-  // back to the driver raw.
-  bool native_exit = false;
-  uint32_t plaintext_len = 0;  // MessageLayout, flattened
+  // Exit plan: the round's MessageLayout, flattened.
+  uint32_t plaintext_len = 0;
   uint32_t padded_len = 0;
   uint32_t num_points = 0;
   // Trap variant: THIS round's per-entry-group trap commitments, so the
@@ -129,12 +116,12 @@ struct WireRoundSpec {
 
 Bytes EncodeBeginRound(uint64_t seq, uint64_t round_id,
                        const std::array<uint8_t, 32>& root_key,
-                       const WireRoundSpec* spec);
+                       const WireRoundSpec& spec);
 struct BeginRoundMsg {
   uint64_t seq = 0;
   uint64_t round_id = 0;
   std::array<uint8_t, 32> root_key{};
-  std::optional<WireRoundSpec> spec;  // engine-mode rounds only
+  WireRoundSpec spec;
 };
 std::optional<BeginRoundMsg> DecodeBeginRound(BytesView bytes);
 

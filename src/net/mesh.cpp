@@ -93,7 +93,8 @@ TcpPeerMesh::TcpPeerMesh(Role role, uint32_t self_id, KemKeypair identity)
     // tombstones would silently swallow a restarted driver's kBeginRound
     // as a duplicate). A random 64-bit base makes cross-incarnation
     // collisions negligible; ids stay unique within one mesh by the
-    // counter. Zero is skipped: it marks untagged legacy envelopes.
+    // counter. Zero is skipped: it is reserved for aborts whose round is
+    // unknown.
     Rng rng = Rng::FromOsEntropy();
     next_round_id_ = rng.NextU64() | 1;
   }
@@ -661,10 +662,15 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
   }
   if (frame.type == LinkMsg::kEnvelope ||
       frame.type == LinkMsg::kEnvelopeBundle) {
+    // An undecodable frame cannot be charged to one round: it surfaces as
+    // a round-0 abort, which the driver applies to every in-flight round.
     auto malformed = [&] {
       if (role_ == Role::kDriver) {
-        SynthesizeAbort(0, "transport: malformed envelope from server " +
-                               std::to_string(peer_id));
+        DispatchEnvelope(Envelope{
+            kMeshDriverId,
+            TransportAbort(0, "transport: malformed envelope from server " +
+                                  std::to_string(peer_id)),
+            0});
       } else {
         SendAbortToDriver(0, 0,
                           "transport: malformed envelope received by "
@@ -681,8 +687,8 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
       DispatchEnvelope(std::move(*envelope));
       return;
     }
-    // A bundle demultiplexes back into the exact per-envelope delivery a
-    // legacy sender would have produced, in the sender's fan-out order.
+    // A bundle demultiplexes back into per-envelope delivery, in the
+    // sender's fan-out order.
     auto envelopes = DecodeEnvelopeBundle(BytesView(frame.body));
     if (!envelopes) {
       malformed();
@@ -693,7 +699,7 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
     }
     return;
   }
-  // Control plane (roster / join-group / host-group / begin-round):
+  // Control plane (roster / host-group / begin-round / round-done):
   // driver-originated; servers apply via their NodeProcess.
   if (role_ == Role::kServer) {
     std::lock_guard<std::mutex> lock(cb_mu_);
@@ -704,56 +710,26 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
 }
 
 void TcpPeerMesh::DispatchEnvelope(Envelope envelope) {
-  if (role_ == Role::kDriver) {
-    {
-      // Invoked under cb_mu_ so unregistering (driver teardown) cannot
-      // race an in-flight call into a dying object.
-      std::lock_guard<std::mutex> lock(cb_mu_);
-      if (on_driver_envelope_) {
-        // A pipelined driver demultiplexes per round; the legacy Run
-        // collectors are bypassed entirely.
-        on_driver_envelope_(std::move(envelope));
-        return;
-      }
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (envelope.msg.type == NodeMsg::Type::kGroupOutput) {
-      outputs_.push_back(std::move(envelope.msg));
-    } else if (envelope.msg.type == NodeMsg::Type::kAbort) {
-      aborts_.push_back(std::move(envelope.msg));
-    }
-    cv_.notify_all();
-    return;
-  }
+  // Invoked under cb_mu_ so unregistering (driver teardown) cannot race
+  // an in-flight call into a dying object.
   std::lock_guard<std::mutex> lock(cb_mu_);
-  if (on_envelope_) {
-    on_envelope_(std::move(envelope));
+  auto& sink = role_ == Role::kDriver ? on_driver_envelope_ : on_envelope_;
+  if (sink) {
+    sink(std::move(envelope));
   }
 }
 
 void TcpPeerMesh::OnPeerGone(uint32_t peer_id) {
-  bool abort_run = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       return;
     }
-    abort_run = role_ == Role::kDriver && running_;
-  }
-  if (abort_run) {
-    SynthesizeAbort(0, "transport: server " + std::to_string(peer_id) +
-                           " disconnected mid-run");
   }
   std::lock_guard<std::mutex> lock(cb_mu_);
   if (on_peer_down_) {
     on_peer_down_(peer_id);
   }
-}
-
-void TcpPeerMesh::SynthesizeAbort(uint32_t gid, std::string reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  aborts_.push_back(TransportAbort(gid, std::move(reason)));
-  cv_.notify_all();
 }
 
 void TcpPeerMesh::SendAbortToDriver(uint64_t round_id, uint32_t gid,
@@ -800,14 +776,6 @@ bool TcpPeerMesh::ConnectAndPushRoster() {
   return true;
 }
 
-bool TcpPeerMesh::SendJoinGroup(uint32_t peer_id, uint32_t gid,
-                                const NodeGroupKeys& keys) {
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeJoinGroup(seq, gid, keys);
-  return SendControlAwaitAck(peer_id, LinkMsg::kJoinGroup, seq,
-                             BytesView(body));
-}
-
 bool TcpPeerMesh::SendHostGroup(uint32_t peer_id, uint32_t gid,
                                 const DkgResult& dkg) {
   uint64_t seq = NextSeq();
@@ -840,13 +808,14 @@ uint64_t TcpPeerMesh::AllocateRoundId() {
 }
 
 void TcpPeerMesh::set_next_round_id(uint64_t id) {
+  ATOM_CHECK_MSG(id != 0, "round id 0 is reserved for unscoped aborts");
   std::lock_guard<std::mutex> lock(mu_);
   next_round_id_ = id;
 }
 
 bool TcpPeerMesh::SendBeginRound(uint32_t peer_id, uint64_t round_id,
                                  const std::array<uint8_t, 32>& root_key,
-                                 const WireRoundSpec* spec) {
+                                 const WireRoundSpec& spec) {
   uint64_t seq = NextSeq();
   Bytes body = EncodeBeginRound(seq, round_id, root_key, spec);
   return SendControlAwaitAck(peer_id, LinkMsg::kBeginRound, seq,
@@ -870,17 +839,8 @@ void TcpPeerMesh::BroadcastRoundDone(uint64_t round_id,
 }
 
 void TcpPeerMesh::Send(Envelope envelope) {
-  if (role_ == Role::kDriver) {
-    // Buffered until Run: the run root key must precede the traffic it
-    // keys, exactly as LocalBus defers delivery until Run.
-    std::lock_guard<std::mutex> lock(mu_);
-    buffered_.push_back(std::move(envelope));
-    return;
-  }
-  uint32_t dest = (envelope.msg.type == NodeMsg::Type::kGroupOutput ||
-                   envelope.msg.type == NodeMsg::Type::kAbort)
-                      ? kMeshDriverId
-                      : envelope.to_server;
+  ATOM_CHECK_MSG(role_ == Role::kServer, "Send is the server-role path");
+  const uint32_t dest = envelope.to_server;
   std::shared_ptr<FaultPlan> plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -899,131 +859,14 @@ void TcpPeerMesh::Send(Envelope envelope) {
     }
   }
   if (dest != kMeshDriverId) {
-    // The chain cannot make progress; tell the driver instead of letting
-    // the run hang until its timeout. Round-tagged, so a pipelined driver
-    // aborts only the round whose traffic failed.
+    // The round cannot make progress; tell the driver instead of letting
+    // it wait out its deadline. Round-tagged, so the driver aborts only
+    // the round whose traffic failed.
     SendAbortToDriver(envelope.round_id, envelope.msg.gid,
                       "transport: server " + std::to_string(self_id_) +
                           " could not reach server " +
                           std::to_string(dest));
   }
-}
-
-bool TcpPeerMesh::Run(Rng& rng) {
-  ATOM_CHECK_MSG(role_ == Role::kDriver, "Run is driver-only");
-  // Drawn before anything else so a seeded driver consumes exactly the
-  // same generator stream as LocalBus::Run.
-  std::array<uint8_t, 32> run_key;
-  rng.Fill(run_key.data(), run_key.size());
-  const uint64_t round_id = AllocateRoundId();
-
-  std::vector<Envelope> to_send;
-  std::vector<uint32_t> server_ids;
-  size_t aborts_before = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ATOM_CHECK_MSG(!running_, "Run re-entered");
-    running_ = true;
-    run_outputs_baseline_ = outputs_.size();
-    run_aborts_baseline_ = aborts_.size();
-    aborts_before = aborts_.size();
-    to_send.swap(buffered_);
-    for (const auto& [id, peer] : peers_.roster) {
-      server_ids.push_back(id);
-    }
-  }
-
-  // Phase 1: every server opens a round-scoped lane for this run's root
-  // key before any envelope can reach it (ack-synchronized because chain
-  // traffic arrives on different links than ours). Legacy runs carry no
-  // engine spec: the lane's per-round delivery counter starts at zero,
-  // exactly like LocalBus's per-Run counters.
-  bool ready = true;
-  for (uint32_t id : server_ids) {
-    if (!SendBeginRound(id, round_id, run_key, nullptr)) {
-      SynthesizeAbort(0, "transport: server " + std::to_string(id) +
-                             " unreachable at run start");
-      ready = false;
-      break;
-    }
-  }
-
-  // Phase 2: inject the buffered entry envelopes, stamped with this run's
-  // round id. Each one seeds exactly one chain, which ends in one
-  // kGroupOutput or one kAbort.
-  size_t seeds = 0;
-  if (ready) {
-    for (Envelope& envelope : to_send) {
-      seeds++;
-      envelope.round_id = round_id;
-      Bytes body = EncodeEnvelope(envelope);
-      if (!SendFrame(envelope.to_server, LinkMsg::kEnvelope,
-                     BytesView(body))) {
-        SynthesizeAbort(envelope.msg.gid,
-                        "transport: send to server " +
-                            std::to_string(envelope.to_server) + " failed");
-      }
-    }
-  }
-
-  // Phase 3: wait for every chain to resolve. A synthesized abort (send
-  // failure, peer EOF) counts as that chain's resolution; a stuck run
-  // surfaces as a timeout abort, never a hang.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    bool done = cv_.wait_for(lock, run_timeout_, [&] {
-      return (outputs_.size() - run_outputs_baseline_) +
-                 (aborts_.size() - run_aborts_baseline_) >=
-             seeds;
-    });
-    if (!done) {
-      aborts_.push_back(TransportAbort(
-          0, "transport: timed out waiting for group outputs"));
-    }
-    running_ = false;
-  }
-  // Retire the round so the servers' bounded lane pool frees up.
-  BroadcastRoundDone(round_id);
-  std::lock_guard<std::mutex> lock(mu_);
-  return aborts_.size() == aborts_before;
-}
-
-const std::vector<NodeMsg>& TcpPeerMesh::outputs() const {
-  AssertNotRunning();
-  return outputs_;
-}
-
-const std::vector<NodeMsg>& TcpPeerMesh::aborts() const {
-  AssertNotRunning();
-  return aborts_;
-}
-
-size_t TcpPeerMesh::output_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return outputs_.size();
-}
-
-size_t TcpPeerMesh::abort_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return aborts_.size();
-}
-
-void TcpPeerMesh::ClearOutputs() {
-  std::lock_guard<std::mutex> lock(mu_);
-  outputs_.clear();
-}
-
-void TcpPeerMesh::AssertNotRunning() const {
-#ifndef NDEBUG
-  std::lock_guard<std::mutex> lock(mu_);
-  ATOM_CHECK_MSG(!running_,
-                 "mesh outputs()/aborts() read while Run is executing");
-#endif
-}
-
-void TcpPeerMesh::set_run_timeout(std::chrono::milliseconds timeout) {
-  std::lock_guard<std::mutex> lock(mu_);
-  run_timeout_ = timeout;
 }
 
 void TcpPeerMesh::set_control_timeout(std::chrono::milliseconds timeout) {

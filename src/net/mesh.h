@@ -1,29 +1,24 @@
-// TcpPeerMesh: the Bus implementation that replaces LocalBus with real
-// sockets — one persistent authenticated encrypted connection per peer
-// (src/net/link.h), redialed on failure, with every frame either a routed
-// protocol Envelope or a driver control message (src/net/control.h).
+// TcpPeerMesh: the distributed delivery backend's transport — one
+// persistent authenticated encrypted connection per peer (src/net/link.h),
+// redialed on failure, with every frame either a routed round Envelope
+// (src/core/wire.h) or a driver control message (src/net/control.h).
 //
 // The same class serves both sides of a deployment:
 //
-//  * Role::kDriver — the round driver. Send() buffers entry envelopes;
-//    Run() draws a 256-bit run root key from the caller's generator
-//    (exactly like LocalBus::Run, so a seeded driver replays identically
-//    on either bus), broadcasts it to every server with ack
-//    synchronization, flushes the buffered envelopes, and waits until
-//    each injected chain has produced a kGroupOutput or kAbort. A peer
-//    that dies mid-run, refuses reconnection, or goes silent past the
-//    run timeout surfaces as a synthesized kAbort — never a hang.
+//  * Role::kDriver — owned by the coordinating process. It dials the
+//    fleet, pushes the roster and hosted-group material, and carries the
+//    DistributedRoundDriver's (src/net/round_driver.h) kBeginRound specs
+//    and entry batches; every inbound envelope — round results and
+//    aborts, including transport failures synthesized locally — goes to
+//    the driver sink registered with OnDriverEnvelope.
 //
 //  * Role::kServer — owned by a NodeProcess (src/net/node_process.h),
-//    which registers inbound callbacks. Send() routes immediately:
-//    kGroupOutput/kAbort to the driver, everything else to the peer that
-//    serves the destination id; a failed send is converted into an abort
-//    notice to the driver.
+//    which registers inbound callbacks and ships hop fan-out through
+//    SendEnvelopes and driver-bound results through Send. A failed send
+//    becomes a round-scoped abort notice to the driver.
 //
 // Reader threads (one per link, plus the accept loop) only move bytes and
-// fire callbacks; all protocol work happens on the shared ThreadPool via
-// the receiver's SerialExecutor, mirroring LocalBus's per-server serial
-// queue discipline.
+// fire callbacks; all protocol work happens on the receiver's thread pool.
 #ifndef SRC_NET_MESH_H_
 #define SRC_NET_MESH_H_
 
@@ -38,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/wire.h"
 #include "src/net/control.h"
 #include "src/net/faults.h"
 #include "src/net/link.h"
@@ -86,7 +82,7 @@ struct MeshTransportStats {
   double BundleFill() const;
 };
 
-class TcpPeerMesh : public Bus {
+class TcpPeerMesh {
  public:
   enum class Role { kDriver, kServer };
 
@@ -94,7 +90,7 @@ class TcpPeerMesh : public Bus {
   // match what the roster distributes. self_id is kMeshDriverId for the
   // driver and the hosted server's id otherwise.
   TcpPeerMesh(Role role, uint32_t self_id, KemKeypair identity);
-  ~TcpPeerMesh() override;
+  ~TcpPeerMesh();
 
   // ---- Plumbing shared by both roles.
 
@@ -124,11 +120,11 @@ class TcpPeerMesh : public Bus {
   void OnEnvelope(std::function<void(Envelope)> fn);
   void OnControl(std::function<void(uint32_t peer_id, LinkFrame frame)> fn);
 
-  // Driver-role sink for inbound envelopes. When set, every kEnvelope
-  // frame is handed to it (round-tagged, so overlapping rounds
-  // demultiplex) instead of the legacy Run collectors — this is how
-  // DistributedRoundDriver (src/net/round_driver.h) takes over delivery.
-  // Fired on reader threads; must not block.
+  // Driver-role sink for inbound envelopes: every decoded envelope, and
+  // every abort this mesh synthesizes for a failed driver-side send or a
+  // malformed inbound frame, is handed to it (round-tagged, so
+  // overlapping rounds demultiplex; round id 0 marks an abort whose round
+  // is unknown). Fired on reader threads; must not block.
   void OnDriverEnvelope(std::function<void(Envelope)> fn);
   // Fired (any role) when a peer's link dies outside Stop(); the
   // pipelined driver uses it to synthesize per-round aborts.
@@ -158,18 +154,19 @@ class TcpPeerMesh : public Bus {
   // Server role, coalesced fan-out: ships every envelope a hop owes one
   // destination server as a single kEnvelopeBundle frame (plain kEnvelope
   // when there is just one) through the sender lane. All envelopes must
-  // share to_server and round_id. Same failure conversion as Send():
-  // severed links, bound drops and dead peers become round-scoped aborts
-  // to the driver instead of hangs.
+  // share to_server and round_id. Severed links, bound drops and dead
+  // peers become round-scoped aborts to the driver instead of hangs.
   void SendEnvelopes(std::vector<Envelope> envelopes);
+  // Server role: sends one envelope to envelope.to_server on the
+  // synchronous path (round results travel to kMeshDriverId this way). A
+  // failed send to another server is reported to the driver as a
+  // round-scoped abort.
+  void Send(Envelope envelope);
 
   // ---- Driver-side setup.
 
   // Dials every rostered peer and pushes the roster, waiting for acks.
   bool ConnectAndPushRoster();
-  // Ships one group's key material to a server (ack-synchronized).
-  bool SendJoinGroup(uint32_t peer_id, uint32_t gid,
-                     const NodeGroupKeys& keys);
   // Ships a whole group's DKG output so the receiver hosts that group's
   // engine hops for pipelined rounds (ack-synchronized).
   bool SendHostGroup(uint32_t peer_id, uint32_t gid, const DkgResult& dkg);
@@ -183,47 +180,32 @@ class TcpPeerMesh : public Bus {
 
   // ---- Round-scoped control plane (driver side).
 
-  // Round ids are unique per driver mesh; both the legacy Run and the
-  // pipelined DistributedRoundDriver draw from this counter so their
-  // rounds never collide on the servers' per-round state.
+  // Round ids are unique per driver mesh, so drivers sharing one mesh
+  // never collide on the servers' per-round state. Zero is never
+  // allocated: it is reserved for aborts whose round is unknown.
   uint64_t AllocateRoundId();
-  // Pins the next allocated id (and the counter continues from it).
+  // Pins the next allocated id (nonzero; the counter continues from it).
   // Scenario harness use: seeded FaultPlans name rounds by id
   // (sever=A-B@2-2), so a deterministic run needs ids 1,2,3… — safe
   // there because every scenario spawns a fresh fleet, which is exactly
   // the stale-lane hazard the random base exists to avoid.
   void set_next_round_id(uint64_t id);
-  // Opens a round on one server: root key (+ optional engine spec),
+  // Opens a round on one server: root key and round spec,
   // ack-synchronized so key material lands before dependent traffic.
   bool SendBeginRound(uint32_t peer_id, uint64_t round_id,
                       const std::array<uint8_t, 32>& root_key,
-                      const WireRoundSpec* spec);
+                      const WireRoundSpec& spec);
   // Retires a round on the named peers (or every rostered peer when the
   // span is empty). Best-effort: a dead peer's state dies with it.
   void BroadcastRoundDone(uint64_t round_id,
                           std::span<const uint32_t> peers = {});
 
   // Server role: reports a local delivery failure upstream so the driver
-  // sees an abort instead of a silently dropped chain; round-tagged so a
-  // pipelined driver aborts only the affected round.
+  // sees an abort instead of a silently dropped batch; round-tagged so the
+  // driver aborts only the affected round (round 0: every round).
   void SendAbortToDriver(uint64_t round_id, uint32_t gid,
                          std::string reason);
 
-  // ---- Bus interface (Run/outputs/aborts are driver-role only).
-
-  void Send(Envelope envelope) override;
-  bool Run(Rng& rng) override;
-  const std::vector<NodeMsg>& outputs() const override;
-  const std::vector<NodeMsg>& aborts() const override;
-  void ClearOutputs() override;
-
-  // Unlike LocalBus, collectors can grow outside Run (a server may push
-  // an abort spontaneously, e.g. on a malformed frame); these counts are
-  // safe to poll at any time, where the vector accessors above are not.
-  size_t output_count() const;
-  size_t abort_count() const;
-
-  void set_run_timeout(std::chrono::milliseconds timeout);
   void set_control_timeout(std::chrono::milliseconds timeout);
   void set_dial_attempts(int attempts);
   // Backpressure bound for WAN deployments: caps the bytes queued behind
@@ -282,7 +264,7 @@ class TcpPeerMesh : public Bus {
   void ReaderLoop(std::shared_ptr<SecureLink> link);
   void HandleFrame(uint32_t peer_id, LinkFrame frame);
   // Routes one decoded inbound envelope (single frame or bundle member)
-  // to the role's sink: driver sink / legacy collectors / server callback.
+  // to the role's sink: the driver sink or the server callback.
   void DispatchEnvelope(Envelope envelope);
   void OnPeerGone(uint32_t peer_id);
 
@@ -295,16 +277,10 @@ class TcpPeerMesh : public Bus {
   void ConvertAsyncSendFailure(uint32_t peer_id, uint64_t round_id,
                                uint32_t gid);
 
-  // Appends a synthesized abort (driver role) and wakes Run. gid 0 when
-  // the failing chain is unknown.
-  void SynthesizeAbort(uint32_t gid, std::string reason);
-
   // Sends a control frame and blocks until its ack arrives.
   bool SendControlAwaitAck(uint32_t peer_id, LinkMsg type, uint64_t seq,
                            BytesView body);
   uint64_t NextSeq();
-
-  void AssertNotRunning() const;
 
   const Role role_;
   const uint32_t self_id_;
@@ -320,16 +296,10 @@ class TcpPeerMesh : public Bus {
   // readers (blocked in Recv on a half-open socket) would hang forever.
   std::vector<std::shared_ptr<SecureLink>> adopted_;
   std::vector<std::thread> threads_;  // accept loop + link readers
-  std::vector<Envelope> buffered_;    // driver: entry envelopes until Run
-  std::vector<NodeMsg> outputs_;
-  std::vector<NodeMsg> aborts_;
   std::set<uint64_t> acked_;
   uint64_t next_seq_ = 1;
   uint64_t next_round_id_ = 1;
-  bool running_ = false;   // a driver Run is executing
   bool stopping_ = false;
-  size_t run_outputs_baseline_ = 0;
-  size_t run_aborts_baseline_ = 0;
 
   // Callbacks are set and INVOKED under cb_mu_ (never nested with mu_):
   // clearing a callback therefore blocks until any in-flight invocation
@@ -345,7 +315,6 @@ class TcpPeerMesh : public Bus {
   TcpListener listener_;
   bool accepting_ = false;
 
-  std::chrono::milliseconds run_timeout_{std::chrono::seconds(120)};
   std::chrono::milliseconds control_timeout_{std::chrono::seconds(20)};
   std::chrono::milliseconds send_delay_{0};
   std::shared_ptr<FaultPlan> fault_plan_;  // guarded by mu_

@@ -25,15 +25,14 @@ MessageLayout SpecLayout(const WireRoundSpec& spec) {
 
 }  // namespace
 
-NodeProcess::NodeProcess(uint32_t server_id, Variant variant,
+NodeProcess::NodeProcess(uint32_t server_id, Variant /*variant*/,
                          KemKeypair identity, const Point& driver_pk,
                          size_t max_rounds, ThreadPool* pool)
     : server_id_(server_id),
       max_rounds_(max_rounds < 1 ? 1 : max_rounds),
       pool_(pool),
-      node_(server_id, variant),
       mesh_(TcpPeerMesh::Role::kServer, server_id, std::move(identity)),
-      node_serial_(pool) {
+      control_serial_(pool) {
   mesh_.AddPeerKey(kMeshDriverId, driver_pk);
   // Sender-lane drains share this server's pool, so sealing the next
   // bundle and writing the current one interleave on one set of threads.
@@ -56,7 +55,7 @@ void NodeProcess::Stop() {
   // Mesh first (readers stop submitting), then let queued handlers drain;
   // their outbound sends fail harmlessly against the closed links.
   mesh_.Stop();
-  node_serial_.Drain();
+  control_serial_.Drain();
   std::vector<Lane*> lanes;
   {
     std::lock_guard<std::mutex> lock(rounds_mu_);
@@ -79,10 +78,6 @@ GroupRuntime* NodeProcess::FindHostedGroup(uint32_t gid) {
   std::lock_guard<std::mutex> lock(groups_mu_);
   auto it = hosted_.find(gid);
   return it == hosted_.end() ? nullptr : it->second.get();
-}
-
-void NodeProcess::SetOutboundTamper(std::function<void(Envelope&)> fn) {
-  tamper_ = std::move(fn);
 }
 
 void NodeProcess::SetFaultPlan(std::shared_ptr<FaultPlan> plan) {
@@ -114,21 +109,9 @@ void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
       }
       // Applied through the control serial queue so the ack also fences
       // all earlier setup messages (the driver's ordering guarantee).
-      node_serial_.Submit([this, msg = std::move(*msg),
-                              peer_id]() mutable {
+      control_serial_.Submit([this, msg = std::move(*msg),
+                                 peer_id]() mutable {
         mesh_.SetRoster(std::move(msg.peers));
-        Ack(peer_id, msg.seq);
-      });
-      break;
-    }
-    case LinkMsg::kJoinGroup: {
-      auto msg = DecodeJoinGroup(BytesView(frame.body));
-      if (!msg) {
-        return;
-      }
-      node_serial_.Submit([this, msg = std::move(*msg),
-                              peer_id]() mutable {
-        node_.JoinGroup(msg.gid, std::move(msg.keys));
         Ack(peer_id, msg.seq);
       });
       break;
@@ -138,8 +121,8 @@ void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
       if (!msg) {
         return;
       }
-      node_serial_.Submit([this, msg = std::move(*msg),
-                              peer_id]() mutable {
+      control_serial_.Submit([this, msg = std::move(*msg),
+                                 peer_id]() mutable {
         HostGroup(msg.gid, std::move(msg.dkg));
         Ack(peer_id, msg.seq);
       });
@@ -168,7 +151,7 @@ void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
       if (!seq) {
         return;
       }
-      node_serial_.Submit([this, seq = *seq, peer_id] {
+      control_serial_.Submit([this, seq = *seq, peer_id] {
         Bytes body = EncodeMetricsReply(
             seq, obs::Registry::Global().Snapshot());
         mesh_.SendFrame(peer_id, LinkMsg::kMetricsSnapshot,
@@ -268,45 +251,31 @@ void NodeProcess::HandleEnvelope(Envelope envelope) {
             std::to_string(envelope.round_id));
     return;
   }
-  // Engine traffic runs on the round's own lane; chain-protocol traffic
-  // runs on node_serial_ — the ONE queue that ever touches the shared
-  // AtomNode (with JoinGroup), preserving PR 3's single-serial contract
-  // even if a timed-out legacy round's handler is still executing when
-  // the next round's traffic arrives.
-  if (envelope.msg.type == NodeMsg::Type::kHopBatch ||
-      envelope.msg.type == NodeMsg::Type::kExitBuckets) {
-    lane->serial.Submit([this, ctx, msg = std::move(envelope.msg)]() mutable {
-      Process(ctx, std::move(msg));
-    });
-  } else {
-    node_serial_.Submit([this, ctx, msg = std::move(envelope.msg)]() mutable {
-      Process(ctx, std::move(msg));
-    });
-  }
+  lane->serial.Submit([this, ctx, msg = std::move(envelope.msg)]() mutable {
+    Process(ctx, std::move(msg));
+  });
 }
 
 void NodeProcess::Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg) {
+  // A round is all-or-nothing (one DAG): once aborted or evicted, its
+  // remaining traffic is dead work.
+  if (ctx->aborted.load(std::memory_order_acquire)) {
+    return;
+  }
   try {
     switch (msg.type) {
       case NodeMsg::Type::kHopBatch:
+        ProcessHop(ctx, std::move(msg));
+        break;
       case NodeMsg::Type::kExitBuckets:
-        // Engine rounds are all-or-nothing (one DAG): once aborted or
-        // evicted, remaining engine traffic for the round is dead work.
-        if (ctx->aborted.load(std::memory_order_acquire)) {
-          return;
-        }
-        if (msg.type == NodeMsg::Type::kHopBatch) {
-          ProcessHop(ctx, std::move(msg));
-        } else {
-          ProcessExitBuckets(ctx, std::move(msg));
-        }
+        ProcessExitBuckets(ctx, std::move(msg));
         break;
       default:
-        // Chain-protocol messages stay per-chain: a fault in one chain
-        // must not swallow the others — each still resolves in its own
-        // kGroupOutput or kAbort, which the legacy Run counts on (the
-        // pre-lane NodeProcess behaved exactly this way).
-        ProcessChain(ctx, std::move(msg));
+        // Results and aborts travel to the driver, never between servers.
+        AbortRound(ctx, msg.gid,
+                   "server " + std::to_string(server_id_) +
+                       ": unexpected message type " +
+                       std::to_string(static_cast<int>(msg.type)));
         break;
     }
   } catch (const std::exception& e) {
@@ -316,42 +285,12 @@ void NodeProcess::Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg) {
   }
 }
 
-void NodeProcess::ProcessChain(const std::shared_ptr<RoundCtx>& ctx,
-                               NodeMsg msg) {
-  if (!node_.Accepts(msg)) {
-    // Misrouted, premature (keys not yet joined), or hostile: a protocol
-    // fault the driver must see, not a crash.
-    AbortRound(ctx, msg.gid,
-               "server " + std::to_string(server_id_) +
-                   ": unroutable message for group " +
-                   std::to_string(msg.gid) + " at pos " +
-                   std::to_string(msg.chain_pos));
-    return;
-  }
-  // Private generator for this delivery, key-separated exactly as
-  // LocalBus::DrainServer does — with the counter scoped to this round's
-  // lane — so (seed, traffic) replays identically across the transports.
-  std::array<uint8_t, 32> key =
-      DeriveSubKey(ctx->root, server_id_, ctx->delivered++);
-  Rng step_rng(BytesView(key.data(), key.size()));
-  std::vector<Envelope> emitted = node_.Handle(msg, step_rng);
-  for (Envelope& next : emitted) {
-    Deliver(ctx, std::move(next));
-  }
-}
-
 void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
                              NodeMsg msg) {
-  if (!ctx->spec.has_value()) {
-    AbortRound(ctx, msg.gid,
-               "server " + std::to_string(server_id_) +
-                   ": hop batch for a round with no engine spec");
-    return;
-  }
-  const WireRoundSpec& spec = *ctx->spec;
-  const size_t layer = msg.chain_pos;
+  const WireRoundSpec& spec = ctx->spec;
+  const size_t layer = msg.layer;
   const uint32_t gid = msg.gid;
-  const uint32_t src = msg.prev_pos;
+  const uint32_t src = msg.src_gid;
   if (layer >= spec.layers || gid >= spec.width ||
       spec.hosts[gid] != server_id_) {
     AbortRound(ctx, gid,
@@ -462,8 +401,8 @@ void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
     NodeMsg next;
     next.type = NodeMsg::Type::kHopBatch;
     next.gid = neighbors[b];
-    next.chain_pos = static_cast<uint32_t>(layer + 1);
-    next.prev_pos = gid;
+    next.layer = static_cast<uint32_t>(layer + 1);
+    next.src_gid = gid;
     next.batch = std::move(out[b]);
     sends.emplace_back(spec.hosts[neighbors[b]], std::move(next));
   }
@@ -473,19 +412,7 @@ void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
 void NodeProcess::ProcessExitLayer(const std::shared_ptr<RoundCtx>& ctx,
                                    uint32_t gid,
                                    CiphertextBatch exit_batch) {
-  const WireRoundSpec& spec = *ctx->spec;
-  if (!spec.native_exit) {
-    // No exit plan: the fully stripped batch routes back to the driver
-    // raw (layer == spec.layers marks it as an exit batch).
-    NodeMsg msg;
-    msg.type = NodeMsg::Type::kHopBatch;
-    msg.gid = gid;
-    msg.chain_pos = spec.layers;
-    msg.prev_pos = gid;
-    msg.batch = std::move(exit_batch);
-    Deliver(ctx, Envelope{kMeshDriverId, std::move(msg), ctx->round_id});
-    return;
-  }
+  const WireRoundSpec& spec = ctx->spec;
   MessageLayout layout = SpecLayout(spec);
   if (static_cast<Variant>(spec.variant) == Variant::kTrap) {
     ExitSort sort = SortTrapExits(gid, exit_batch, layout, spec.width);
@@ -501,7 +428,7 @@ void NodeProcess::ProcessExitLayer(const std::shared_ptr<RoundCtx>& ctx,
       NodeMsg msg;
       msg.type = NodeMsg::Type::kExitBuckets;
       msg.gid = d;
-      msg.prev_pos = gid;
+      msg.src_gid = gid;
       msg.exit_traps = std::move(sort.traps_for[d]);
       msg.exit_inner = std::move(sort.inner_for[d]);
       sends.emplace_back(spec.hosts[d], std::move(msg));
@@ -518,20 +445,16 @@ void NodeProcess::ProcessExitLayer(const std::shared_ptr<RoundCtx>& ctx,
   msg.type = NodeMsg::Type::kExitPlain;
   msg.gid = gid;
   msg.exit_inner = std::move(decode.plaintexts);
-  Deliver(ctx, Envelope{kMeshDriverId, std::move(msg), ctx->round_id});
+  mesh_.Send(Envelope{kMeshDriverId, std::move(msg), ctx->round_id});
 }
 
 void NodeProcess::ProcessExitBuckets(const std::shared_ptr<RoundCtx>& ctx,
                                      NodeMsg msg) {
-  if (!ctx->spec.has_value()) {
-    AbortRound(ctx, msg.gid, "exit buckets for a round with no engine spec");
-    return;
-  }
-  const WireRoundSpec& spec = *ctx->spec;
+  const WireRoundSpec& spec = ctx->spec;
   const uint32_t dst = msg.gid;
-  const uint32_t src = msg.prev_pos;
+  const uint32_t src = msg.src_gid;
   if (dst >= spec.width || src >= spec.width ||
-      spec.hosts[dst] != server_id_ || !spec.native_exit ||
+      spec.hosts[dst] != server_id_ ||
       spec.commitments.size() != spec.width) {
     AbortRound(ctx, dst, "misrouted exit buckets");
     return;
@@ -575,7 +498,7 @@ void NodeProcess::ProcessExitBuckets(const std::shared_ptr<RoundCtx>& ctx,
   out.gid = dst;
   out.report = report;
   out.exit_inner = std::move(inner);
-  Deliver(ctx, Envelope{kMeshDriverId, std::move(out), ctx->round_id});
+  mesh_.Send(Envelope{kMeshDriverId, std::move(out), ctx->round_id});
 }
 
 void NodeProcess::ApplyPlanTamper(const std::shared_ptr<RoundCtx>& ctx,
@@ -606,16 +529,6 @@ void NodeProcess::AbortRound(const std::shared_ptr<RoundCtx>& ctx,
   mesh_.SendAbortToDriver(ctx->round_id, gid, std::move(reason));
 }
 
-void NodeProcess::Deliver(const std::shared_ptr<RoundCtx>& ctx,
-                          Envelope envelope) {
-  envelope.round_id = ctx->round_id;
-  if (tamper_) {
-    tamper_(envelope);
-  }
-  ApplyPlanTamper(ctx, envelope);
-  mesh_.Send(std::move(envelope));
-}
-
 void NodeProcess::FanOut(const std::shared_ptr<RoundCtx>& ctx,
                          std::vector<std::pair<uint32_t, NodeMsg>> sends) {
   // Group by destination host so each peer receives one kEnvelopeBundle
@@ -625,9 +538,6 @@ void NodeProcess::FanOut(const std::shared_ptr<RoundCtx>& ctx,
   std::map<uint32_t, std::vector<Envelope>> by_host;
   for (auto& [dest, msg] : sends) {
     Envelope envelope{dest, std::move(msg), ctx->round_id};
-    if (tamper_) {
-      tamper_(envelope);
-    }
     ApplyPlanTamper(ctx, envelope);
     if (dest == server_id_) {
       // Self-hosted destination: back into our own lane without touching

@@ -1,39 +1,29 @@
-// NodeProcess: hosts one Atom server inside one OS process and wires it to
-// the TCP peer mesh — the deployment shape the paper assumes (one server
-// per machine), where LocalBus's in-process delivery becomes real
-// encrypted links.
+// NodeProcess: one Atom server inside one OS process, wired to the TCP
+// peer mesh — the server side of the distributed delivery backend. The
+// round lifecycle (an EngineRound spec in, a RoundResult out) is the one
+// RoundEngine runs in process; DistributedRoundDriver
+// (src/net/round_driver.h) drives it across a fleet of these, each
+// hosting whole topology groups.
 //
 // The process is natively multi-round: every kBeginRound control message
-// opens a round-scoped lane — its own 256-bit root key, its own DRBG
-// counters, and its own SerialExecutor on the shared ThreadPool — and
-// every envelope demultiplexes into its round's lane by the round id
-// stamped on the wire. Lanes are bounded (max_rounds) and evicted on
-// kRoundDone, so one slow or wedged round never blocks its successors and
-// a dead round's state cannot accumulate.
+// opens a round-scoped lane — its own 256-bit root key, its own round
+// spec, and its own SerialExecutor on the thread pool — and every
+// envelope demultiplexes into its round's lane by the round id stamped on
+// the wire. Lanes are bounded (max_rounds) and evicted on kRoundDone, so
+// one slow or wedged round never blocks its successors and a dead round's
+// state cannot accumulate.
 //
-// Two kinds of traffic flow through a round:
-//
-//  * Chain-protocol steps (kShuffleStep/kReEncStep) drive the hosted
-//    AtomNode. They execute on node_serial_ — the one queue that ever
-//    touches the AtomNode (shared with JoinGroup), so the single-serial
-//    contract holds even when rounds overlap — while their DRBG counters
-//    stay per-round: each delivery's private generator is key-separated
-//    from its round's root key by (server id, per-round delivery count),
-//    exactly LocalBus's discipline, so a seeded legacy run replays
-//    byte-for-byte across transports.
-//
-//  * Engine rounds (kBeginRound carrying a WireRoundSpec) execute whole
-//    group hops for the groups this process hosts (kHostGroup installs the
-//    DKG material): inbound kHopBatch sub-batches assemble per
-//    (layer, gid) slot exactly like the RoundEngine's hop DAG, the hop
-//    runs GroupRuntime::RunHop with a DRBG key-separated from the round's
-//    root by layer*width+gid — the engine's derivation — and the exit
-//    phase runs distributed: this host sorts its exit batches
-//    (SortTrapExits), ships per-destination buckets (kExitBuckets) to the
-//    destination groups' hosts, checks arrivals against the round's trap
-//    commitments (CheckExitGroup), and reports to the driver
-//    (kExitReport). A seeded engine round therefore produces
-//    byte-identical results over the mesh and in process.
+// A round executes whole group hops for the groups this process hosts
+// (kHostGroup installs the DKG material): inbound kHopBatch sub-batches
+// assemble per (layer, gid) slot exactly like the RoundEngine's hop DAG,
+// the hop runs the one hop kernel, GroupRuntime::RunHop, with a DRBG
+// key-separated from the round's root by layer*width+gid — the engine's
+// derivation — and the exit phase runs distributed: this host sorts its
+// exit batches (SortTrapExits), ships per-destination buckets
+// (kExitBuckets) to the destination groups' hosts, checks arrivals
+// against the round's trap commitments (CheckExitGroup), and reports to
+// the driver (kExitReport; kExitPlain for NIZK rounds). A seeded round
+// therefore produces byte-identical results over the mesh and in process.
 //
 // Every control message is acked only after it has been applied, which
 // gives the driver a cross-link ordering fence. Failures never hang the
@@ -65,8 +55,10 @@ class NodeProcess {
  public:
   // `identity` is this server's long-term key (its public half is what
   // the roster advertises); `driver_pk` authenticates the driver before
-  // any roster exists. `max_rounds` bounds concurrently open round lanes;
-  // a kBeginRound past the bound is refused with a round-tagged abort.
+  // any roster exists. `variant` is not consulted: every round carries
+  // its variant in its kBeginRound spec. `max_rounds` bounds concurrently
+  // open round lanes; a kBeginRound past the bound is refused with a
+  // round-tagged abort.
   // `pool` backs this server's serial lanes (null = the process-wide
   // shared pool); benches hosting many "servers" in one process give each
   // its own pool, mirroring the real one-pool-per-process deployment.
@@ -99,11 +91,6 @@ class NodeProcess {
   // message; public for in-process tests.
   void HostGroup(uint32_t gid, DkgResult dkg);
 
-  // Test hook (fault injection): mutates every outbound envelope before
-  // it is sent — an "evil server" mid-chain for abort-propagation tests.
-  // Set before Start().
-  void SetOutboundTamper(std::function<void(Envelope&)> fn);
-
   // Scenario-harness fault injection (src/net/faults.h). Frame-level
   // faults and stalls thread through the mesh; round-ranged tamper rules
   // turn this server into a byzantine mixer (outbound hop batches get a
@@ -134,8 +121,7 @@ class NodeProcess {
   struct RoundCtx {
     uint64_t round_id = 0;
     std::array<uint8_t, 32> root{};
-    uint64_t delivered = 0;  // chain-protocol DRBG counter
-    std::optional<WireRoundSpec> spec;  // engine rounds only
+    WireRoundSpec spec;
     std::map<uint64_t, HopAssembly> hops;  // key: layer * width + gid
     std::map<uint32_t, ExitAssembly> exits;  // key: dest gid hosted here
     std::atomic<bool> aborted{false};
@@ -156,13 +142,11 @@ class NodeProcess {
 
   // Lane tasks (serial per round, on the shared pool).
   void Process(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg);
-  void ProcessChain(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg);
   void ProcessHop(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg);
   void ProcessExitLayer(const std::shared_ptr<RoundCtx>& ctx, uint32_t gid,
                         CiphertextBatch exit_batch);
   void ProcessExitBuckets(const std::shared_ptr<RoundCtx>& ctx, NodeMsg msg);
 
-  void Deliver(const std::shared_ptr<RoundCtx>& ctx, Envelope envelope);
   // Ships one hop's fan-out (dest_server, msg) pairs: self-sends
   // short-circuit into our own lane; remote sends group per destination
   // host so each peer gets one multi-envelope frame per hop.
@@ -180,11 +164,9 @@ class NodeProcess {
   const uint32_t server_id_;
   const size_t max_rounds_;
   ThreadPool* const pool_;  // backs the lanes; null = shared pool
-  AtomNode node_;
   TcpPeerMesh mesh_;
-  // The only queue that touches node_ (JoinGroup + chain deliveries) and
-  // the setup control plane (roster / host-group).
-  SerialExecutor node_serial_;
+  // The control-plane queue: roster, host-group and metrics replies.
+  SerialExecutor control_serial_;
 
   std::mutex rounds_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
@@ -196,7 +178,6 @@ class NodeProcess {
   std::mutex groups_mu_;
   std::map<uint32_t, std::unique_ptr<GroupRuntime>> hosted_;
 
-  std::function<void(Envelope&)> tamper_;
   std::shared_ptr<FaultPlan> fault_plan_;  // set before Start()
 };
 

@@ -98,6 +98,8 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
                  "need one GroupRuntime per topology vertex");
   ATOM_CHECK_MSG(round.entry.size() == width,
                  "need one entry batch per topology vertex");
+  ATOM_CHECK_MSG(round.exit.has_value(),
+                 "a distributed round needs an exit plan");
 
   // The wire form of this round's plan, mirroring RoundEngine::Submit's
   // DAG construction (same adjacency, same hop indexing).
@@ -125,21 +127,17 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
   // the groups it hosts (moved, not copied: every gid has one host).
   std::vector<std::vector<std::array<uint8_t, 32>>> all_commitments;
   spec.commitments.resize(width);
+  spec.plaintext_len = static_cast<uint32_t>(round.exit->layout.plaintext_len);
+  spec.padded_len = static_cast<uint32_t>(round.exit->layout.padded_len);
+  spec.num_points = static_cast<uint32_t>(round.exit->layout.num_points);
   const Trustees* trustees = nullptr;
-  if (round.exit.has_value()) {
-    spec.native_exit = true;
-    spec.plaintext_len =
-        static_cast<uint32_t>(round.exit->layout.plaintext_len);
-    spec.padded_len = static_cast<uint32_t>(round.exit->layout.padded_len);
-    spec.num_points = static_cast<uint32_t>(round.exit->layout.num_points);
-    if (round.variant == Variant::kTrap) {
-      trustees = round.exit->trustees;
-      ATOM_CHECK_MSG(trustees != nullptr,
-                     "trap exit plan needs a trustee group");
-      ATOM_CHECK_MSG(round.exit->commitments.size() == width,
-                     "need one commitment set per entry group");
-      all_commitments = std::move(round.exit->commitments);
-    }
+  if (round.variant == Variant::kTrap) {
+    trustees = round.exit->trustees;
+    ATOM_CHECK_MSG(trustees != nullptr,
+                   "trap exit plan needs a trustee group");
+    ATOM_CHECK_MSG(round.exit->commitments.size() == width,
+                   "need one commitment set per entry group");
+    all_commitments = std::move(round.exit->commitments);
   }
 
   const uint64_t round_id = mesh_->AllocateRoundId();
@@ -150,13 +148,9 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     pending->submit_us = obs::Trace::NowUs();
   }
   pending->width = width;
-  pending->layers = layers;
   pending->variant = round.variant;
   pending->hop_workers = spec.hop_workers;
-  pending->native_exit = spec.native_exit;
   pending->trustees = trustees;
-  pending->exits.resize(width);
-  pending->exits_got.assign(width, false);
   pending->reports.resize(width);
   pending->inner.resize(width);
   pending->plains.resize(width);
@@ -182,7 +176,7 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
           }
         }
       }
-      if (!mesh_->SendBeginRound(host, round_id, round.seed, &host_spec)) {
+      if (!mesh_->SendBeginRound(host, round_id, round.seed, host_spec)) {
         std::lock_guard<std::mutex> lock(mu_);
         AbortLocked(*pending, "round " + std::to_string(round_id) +
                                   ": server " + std::to_string(host) +
@@ -203,8 +197,6 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
     NodeMsg msg;
     msg.type = NodeMsg::Type::kHopBatch;
     msg.gid = g;
-    msg.chain_pos = 0;
-    msg.prev_pos = 0;
     msg.batch = std::move(round.entry[g]);
     by_host[hosts_[g]].push_back(
         Envelope{hosts_[g], std::move(msg), round_id});
@@ -238,30 +230,26 @@ void DistributedRoundDriver::AbortLocked(PendingRound& round,
 
 void DistributedRoundDriver::HandleEnvelope(Envelope envelope) {
   std::lock_guard<std::mutex> lock(mu_);
+  NodeMsg& msg = envelope.msg;
+  if (envelope.round_id == 0 && msg.type == NodeMsg::Type::kAbort) {
+    // An abort no round can be charged with (e.g. a malformed frame):
+    // like a dead peer, it aborts every round in flight.
+    AbortAllLocked(msg.abort_reason);
+    return;
+  }
   auto it = rounds_.find(envelope.round_id);
   if (it == rounds_.end()) {
     return;  // late frame for a resolved round: drop
   }
   PendingRound& round = *it->second;
-  NodeMsg& msg = envelope.msg;
   switch (msg.type) {
     case NodeMsg::Type::kAbort:
       AbortLocked(round, "round " + std::to_string(round.round_id) + ": " +
                              msg.abort_reason);
       return;
-    case NodeMsg::Type::kHopBatch:
-      // chain_pos == layers marks a raw exit batch (no native exit plan).
-      if (!round.native_exit && msg.chain_pos == round.layers &&
-          msg.gid < round.width && !round.exits_got[msg.gid]) {
-        round.exits_got[msg.gid] = true;
-        round.exits[msg.gid] = std::move(msg.batch);
-        round.exits_seen++;
-        cv_.notify_all();
-      }
-      return;
     case NodeMsg::Type::kExitReport:
-      if (round.native_exit && round.variant == Variant::kTrap &&
-          msg.gid < round.width && !round.reports[msg.gid].has_value()) {
+      if (round.variant == Variant::kTrap && msg.gid < round.width &&
+          !round.reports[msg.gid].has_value()) {
         round.reports[msg.gid] = msg.report;
         round.inner[msg.gid] = std::move(msg.exit_inner);
         round.reports_seen++;
@@ -269,15 +257,15 @@ void DistributedRoundDriver::HandleEnvelope(Envelope envelope) {
       }
       return;
     case NodeMsg::Type::kExitPlain:
-      if (round.native_exit && round.variant == Variant::kNizk &&
-          msg.gid < round.width && !round.plains[msg.gid].has_value()) {
+      if (round.variant == Variant::kNizk && msg.gid < round.width &&
+          !round.plains[msg.gid].has_value()) {
         round.plains[msg.gid] = std::move(msg.exit_inner);
         round.plains_seen++;
         cv_.notify_all();
       }
       return;
     default:
-      return;  // legacy chain traffic is not ours
+      return;  // hop traffic never addresses the driver
   }
 }
 
@@ -290,11 +278,14 @@ void DistributedRoundDriver::HandlePeerDown(uint32_t peer_id) {
   // in flight loses this host; rounds submitted after a roster repair
   // start clean.
   std::lock_guard<std::mutex> lock(mu_);
+  AbortAllLocked("server " + std::to_string(peer_id) +
+                 " disconnected mid-round");
+}
+
+void DistributedRoundDriver::AbortAllLocked(const std::string& reason) {
   for (auto& [id, round] : rounds_) {
     if (!round->Complete()) {
-      AbortLocked(*round, "round " + std::to_string(id) + ": server " +
-                              std::to_string(peer_id) +
-                              " disconnected mid-round");
+      AbortLocked(*round, "round " + std::to_string(id) + ": " + reason);
     }
   }
 }
@@ -304,14 +295,8 @@ EngineRoundResult DistributedRoundDriver::Finalize(PendingRound& round) {
   if (round.aborted) {
     result.aborted = true;
     result.abort_reason = round.abort_reason;
-    if (round.native_exit) {
-      result.round.aborted = true;
-      result.round.abort_reason = round.abort_reason;
-    }
-    return result;
-  }
-  if (!round.native_exit) {
-    result.exits = std::move(round.exits);
+    result.round.aborted = true;
+    result.round.abort_reason = round.abort_reason;
     return result;
   }
   RoundResult& out = result.round;

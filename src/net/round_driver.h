@@ -1,15 +1,17 @@
 // DistributedRoundDriver: RoundEngine semantics over the TCP peer mesh.
 //
-// The in-process RoundEngine (src/core/engine.h) pipelines rounds through
-// the permutation network on one machine; this driver runs the same
-// Submit(EngineRound)/Wait(ticket) contract against a fleet of
-// NodeProcess servers, one host per topology group. Submit ships the
-// round's spec — root key, topology adjacency, host map, group keys,
-// layout, and THIS round's trap commitments — as an ack-synchronized
-// kBeginRound to every hosting server, then flushes the entry batches as
-// round-tagged kHopBatch envelopes and returns immediately: round r+1's
-// intake enters the network while round r is still mixing, which is the
-// paper's §4.7 throughput mode with no global run barrier on the wire.
+// A round has one lifecycle — an EngineRound spec in, a RoundResult out —
+// and two delivery backends. The in-process RoundEngine
+// (src/core/engine.h) pipelines rounds through the permutation network on
+// one machine; this driver runs the same Submit(EngineRound)/Wait(ticket)
+// contract against a fleet of NodeProcess servers, each hosting whole
+// topology groups. Submit ships the round's spec — root key, topology
+// adjacency, host map, group keys, layout, and THIS round's trap
+// commitments — as an ack-synchronized kBeginRound to every hosting
+// server, then flushes the entry batches as round-tagged kHopBatch
+// envelopes and returns immediately: round r+1's intake enters the
+// network while round r is still mixing, which is the paper's §4.7
+// throughput mode with no global run barrier on the wire.
 //
 // Execution is split exactly along the engine's task boundaries:
 //
@@ -63,9 +65,12 @@ class DistributedRoundDriver {
   // Ships the round to the fleet and starts it. Mirrors
   // RoundEngine::Submit: entry batches are moved out of the spec, the
   // ticket is waited on once, and several submitted rounds overlap in
-  // flight. spec.faults must be empty (fault injection is a test-side
-  // concern; over the wire a fault is a hostile server). Never blocks on
-  // mixing — only on the ack round-trip for the kBeginRound fan-out.
+  // flight. The spec must carry an exit plan (Round::TakeEngineRound
+  // builds one): the fleet runs the exit stages, so a mixing-only spec
+  // has no distributed form. spec.faults must be empty (fault injection
+  // is a test-side concern; over the wire a fault is a hostile server).
+  // Never blocks on mixing — only on the ack round-trip for the
+  // kBeginRound fan-out.
   uint64_t Submit(EngineRound round);
 
   // Blocks until the round resolves and returns its result — byte-
@@ -83,21 +88,16 @@ class DistributedRoundDriver {
   struct PendingRound {
     uint64_t round_id = 0;
     size_t width = 0;
-    size_t layers = 0;
     Variant variant = Variant::kTrap;
     size_t hop_workers = 1;
-    bool native_exit = false;
     const Trustees* trustees = nullptr;
     std::chrono::steady_clock::time_point deadline;
 
     // Collected per-gid slots (ascending-gid finalize order).
-    std::vector<CiphertextBatch> exits;           // no exit plan
-    std::vector<bool> exits_got;
-    size_t exits_seen = 0;
-    std::vector<std::optional<GroupReport>> reports;  // trap exit plan
+    std::vector<std::optional<GroupReport>> reports;  // trap
     std::vector<std::vector<Bytes>> inner;
     size_t reports_seen = 0;
-    std::vector<std::optional<std::vector<Bytes>>> plains;  // nizk plan
+    std::vector<std::optional<std::vector<Bytes>>> plains;  // nizk
     size_t plains_seen = 0;
 
     bool aborted = false;
@@ -110,9 +110,6 @@ class DistributedRoundDriver {
       if (aborted) {
         return true;
       }
-      if (!native_exit) {
-        return exits_seen >= width;
-      }
       return variant == Variant::kTrap ? reports_seen >= width
                                        : plains_seen >= width;
     }
@@ -120,6 +117,8 @@ class DistributedRoundDriver {
 
   void HandleEnvelope(Envelope envelope);
   void HandlePeerDown(uint32_t peer_id);
+  // Aborts every in-flight round (requires mu_).
+  void AbortAllLocked(const std::string& reason);
   void AbortLocked(PendingRound& round, std::string reason);
   EngineRoundResult Finalize(PendingRound& round);
 

@@ -40,55 +40,54 @@ struct Target {
 std::vector<Target> BuildTargets(Rng& rng) {
   std::vector<Target> targets;
 
-  // Protocol envelope with a small but structurally rich NodeMsg.
+  // Protocol envelope carrying a ciphertext batch (kHopBatch).
   {
     Envelope env;
     env.to_server = 3;
     env.round_id = 7;
     env.msg.type = NodeMsg::Type::kHopBatch;
     env.msg.gid = 2;
-    env.msg.chain_pos = 1;
-    env.msg.prev_pos = 4;
+    env.msg.layer = 1;
+    env.msg.src_gid = 4;
     Scalar sk = Scalar::Random(rng);
     Point pk = Point::BaseMul(sk);
     std::vector<Point> msgs = {Point::Generator(), pk};
     env.msg.batch.push_back(ElGamalEncryptVec(pk, msgs, rng));
-    env.msg.next_pks = {pk};
     targets.push_back({"envelope", EncodeEnvelope(env), [](BytesView b) {
                          return DecodeEnvelope(b).has_value();
                        }});
 
-    // Coalesced kEnvelopeBundle frame carrying two envelopes (the second
-    // a bucket-bearing exit message, so both body shapes are exercised).
-    Envelope second;
-    second.to_server = 3;
-    second.round_id = 7;
-    second.msg.type = NodeMsg::Type::kExitBuckets;
-    second.msg.gid = 1;
-    second.msg.exit_traps = {Bytes{1, 2, 3}};
-    second.msg.exit_inner = {Bytes{4, 5}, Bytes{6}};
-    targets.push_back({"envelope_bundle",
-                       EncodeEnvelopeBundle({env, second}), [](BytesView b) {
+    // Coalesced kEnvelopeBundle frame carrying one envelope of every
+    // other message type, so every body shape is exercised.
+    std::vector<Envelope> bundle = {env};
+    for (NodeMsg::Type type :
+         {NodeMsg::Type::kExitBuckets, NodeMsg::Type::kExitReport,
+          NodeMsg::Type::kExitPlain, NodeMsg::Type::kAbort}) {
+      Envelope next;
+      next.to_server = 3;
+      next.round_id = 7;
+      next.msg.type = type;
+      next.msg.gid = 1;
+      bundle.push_back(std::move(next));
+    }
+    bundle[1].msg.exit_traps = {Bytes{1, 2, 3}};
+    bundle[1].msg.exit_inner = {Bytes{4, 5}, Bytes{6}};
+    bundle[2].msg.report = GroupReport{1, true, true, 2, 3};
+    bundle[2].msg.exit_inner = {Bytes{7}};
+    bundle[3].msg.exit_inner = {Bytes{8, 9}};
+    bundle[4].msg.abort_reason = "stop";
+    targets.push_back({"envelope_bundle", EncodeEnvelopeBundle(bundle),
+                       [](BytesView b) {
                          return DecodeEnvelopeBundle(b).has_value();
                        }});
   }
 
-  // kBeginRound without a spec (legacy chain round).
+  // kBeginRound with a full round spec (adjacency, hosts, commitments).
   {
     std::array<uint8_t, 32> root{};
     for (size_t i = 0; i < root.size(); i++) {
       root[i] = static_cast<uint8_t>(rng.NextU64());
     }
-    targets.push_back({"begin_round",
-                       EncodeBeginRound(11, 42, root, nullptr),
-                       [](BytesView b) {
-                         return DecodeBeginRound(b).has_value();
-                       }});
-  }
-
-  // kBeginRound with a full engine spec (adjacency, hosts, commitments).
-  {
-    std::array<uint8_t, 32> root{};
     WireRoundSpec spec;
     spec.variant = 1;
     spec.layers = 2;
@@ -97,14 +96,13 @@ std::vector<Target> BuildTargets(Rng& rng) {
     spec.adjacency = {{{0, 1}, {0, 1}}};
     spec.hosts = {1, 2};
     spec.group_pks = {Point::Generator(), Point::Generator()};
-    spec.native_exit = true;
     spec.plaintext_len = 64;
     spec.padded_len = 66;
     spec.num_points = 3;
     spec.commitments.resize(2);
     spec.commitments[0].push_back({});
-    targets.push_back({"begin_round_spec",
-                       EncodeBeginRound(12, 43, root, &spec),
+    targets.push_back({"begin_round",
+                       EncodeBeginRound(12, 43, root, spec),
                        [](BytesView b) {
                          return DecodeBeginRound(b).has_value();
                        }});
