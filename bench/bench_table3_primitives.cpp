@@ -8,15 +8,20 @@
 // shuffle, ReEnc > Enc, proof costs >> plain ops) must match.
 // --smoke runs only the hand-timed hot-path section (small rep counts)
 // and writes BENCH_bench_table3_primitives.json for CI artifact upload;
-// the full google-benchmark table is skipped.
+// the full google-benchmark table is skipped. The hot-path section gates
+// (exit 1) on the shared-doubling MSM never losing to the naive sum of
+// Muls and on batched NIZK verification paying off (see MeasureNizk).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
 
 #include "bench/bench_common.h"
 #include "src/crypto/shuffle.h"
 #include "src/crypto/sigma.h"
+#include "src/crypto/transcript.h"
 #include "src/util/rng.h"
 
 namespace atom {
@@ -118,8 +123,8 @@ BENCHMARK(BM_ReEncProof_Verify)->Unit(benchmark::kMicrosecond);
 
 void BM_EncProof_BatchVerify256(benchmark::State& state) {
   // Entry groups verify every user's proofs; the random-linear-combination
-  // batch test turns 2N scalar mults into one Pippenger MSM. Per-proof cost
-  // here should be several times below BM_EncProof_Verify.
+  // batch test turns 2N scalar mults into one MSM. Per-proof cost here
+  // should be several times below BM_EncProof_Verify.
   auto& f = F();
   constexpr size_t kBatch = 256;
   std::vector<Point> ms(kBatch, f.m);
@@ -164,6 +169,69 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Timings (seconds) of one side of a comparison; callers interleave the
+// sides' repetitions so drift hits both alike.
+struct Spread {
+  std::vector<double> samples;
+  double Quantile(double q) const {
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[static_cast<size_t>(q * static_cast<double>(sorted.size() -
+                                                              1))];
+  }
+  double Median() const { return Quantile(0.5); }
+  double Iqr() const { return Quantile(0.75) - Quantile(0.25); }
+  void Time(const std::function<void()>& fn) {
+    auto t0 = std::chrono::steady_clock::now();
+    fn();
+    samples.push_back(SecondsSince(t0));
+  }
+};
+
+// MultiScalarMul vs n independent windowed Muls at the sizes the NIZK
+// verifiers use (2/3: prover's a3 and small sub-batches; 6/21: ReEnc
+// sub-batches of one and three proofs plus shared terms; 44: VerifyShuffle
+// at n = 2, l = 3) and one batch-verifier size. Gate: the kernel's median
+// may exceed the naive median by at most the naive runs' IQR.
+bool MeasureMsm(BenchJson& json, bool smoke, const std::vector<Point>& points,
+                const std::vector<Scalar>& ks) {
+  bool ok = true;
+  const int reps = smoke ? 5 : 15;
+  for (size_t n : {2u, 3u, 6u, 21u, 44u, 256u}) {
+    std::vector<Point> ps(points.begin(),
+                          points.begin() + static_cast<ptrdiff_t>(n));
+    std::vector<Scalar> ss(ks.begin(),
+                           ks.begin() + static_cast<ptrdiff_t>(n));
+    Spread naive, kernel;
+    Point naive_sum, msm;
+    for (int r = 0; r < reps; r++) {
+      naive.Time([&] {
+        naive_sum = Point::Infinity();
+        for (size_t i = 0; i < n; i++) {
+          naive_sum = naive_sum + ps[i].Mul(ss[i]);
+        }
+      });
+      kernel.Time([&] { msm = MultiScalarMul(ps, ss); });
+    }
+    ATOM_CHECK(msm == naive_sum);
+    const bool row_ok = kernel.Median() <= naive.Median() + naive.Iqr();
+    ok &= row_ok;
+    size_t row = json.Row();
+    json.RowNum(row, "msm_n", static_cast<double>(n));
+    json.RowNum(row, "naive_us", 1e6 * naive.Median());
+    json.RowNum(row, "naive_iqr_us", 1e6 * naive.Iqr());
+    json.RowNum(row, "msm_us", 1e6 * kernel.Median());
+    json.RowNum(row, "msm_iqr_us", 1e6 * kernel.Iqr());
+    std::printf("msm n=%-3zu: naive %8.0f us (IQR %5.0f), kernel %7.0f us "
+                "(IQR %5.0f) -> %.2fx%s\n",
+                n, 1e6 * naive.Median(), 1e6 * naive.Iqr(),
+                1e6 * kernel.Median(), 1e6 * kernel.Iqr(),
+                naive.Median() / kernel.Median(),
+                row_ok ? "" : "  FAIL: kernel slower than naive");
+  }
+  return ok;
+}
+
 // Hand-timed hot-path measurements (the crypto fast paths this repo layers
 // on top of the paper's primitives), recorded to the bench JSON so the
 // speedups are tracked across PRs:
@@ -171,9 +239,9 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 //     inside the timed section: the reuse amortizes it) vs generic Mul,
 //   - batch point encoding (EncodePoints: one shared inversion) vs a
 //     per-point Encode loop at N = 1024,
-//   - the naive-vs-Pippenger MSM crossover backing the thresholds
-//     documented in p256.cpp's MultiScalarMul.
-void MeasureHotPath(BenchJson& json, bool smoke) {
+//   - MultiScalarMul vs the naive sum of Muls (MeasureMsm).
+// Returns false if a gate fails.
+bool MeasureHotPath(BenchJson& json, bool smoke) {
   Rng rng(uint64_t{0x7ab1e4});
   using Clock = std::chrono::steady_clock;
 
@@ -236,29 +304,123 @@ void MeasureHotPath(BenchJson& json, bool smoke) {
   json.Num("encode_batch_ms", 1e3 * batch_s);
   json.Num("encode_batch_speedup", encode_speedup);
 
-  // ---- MSM crossover spot checks (naive sum-of-muls vs MultiScalarMul).
-  for (size_t n : {4u, 8u, 32u}) {
-    std::vector<Point> ps(points.begin(),
-                          points.begin() + static_cast<ptrdiff_t>(n));
-    std::vector<Scalar> ss(ks.begin(),
-                           ks.begin() + static_cast<ptrdiff_t>(n));
-    t0 = Clock::now();
-    Point naive = Point::Infinity();
-    for (size_t i = 0; i < n; i++) {
-      naive = naive + ps[i].Mul(ss[i]);
-    }
-    double naive_s = SecondsSince(t0);
-    t0 = Clock::now();
-    Point msm = MultiScalarMul(ps, ss);
-    double msm_s = SecondsSince(t0);
-    ATOM_CHECK(msm == naive);
-    size_t row = json.Row();
-    json.RowNum(row, "msm_n", static_cast<double>(n));
-    json.RowNum(row, "naive_us", 1e6 * naive_s);
-    json.RowNum(row, "msm_us", 1e6 * msm_s);
-    std::printf("msm n=%-3zu: naive %.0f us, pippenger %.0f us\n", n,
-                1e6 * naive_s, 1e6 * msm_s);
+  return MeasureMsm(json, smoke, points, ks);
+}
+
+// The ReEnc relation checked one scalar multiplication at a time (two
+// BaseMuls, five Muls) — how each proof was verified before batching.
+bool IndependentVerifyReEnc(const Point& server_pk, const Point* next_pk,
+                            const ElGamalCiphertext& input,
+                            const ElGamalCiphertext& output,
+                            const ReEncProof& proof) {
+  ElGamalCiphertext in = input;
+  if (in.YIsNull()) {
+    in.y = in.r;
+    in.r = Point::Infinity();
   }
+  if (!(output.y == in.y)) {
+    return false;
+  }
+  Transcript t("atom/reenc-proof/v1");
+  t.AppendPoint("server_pk", server_pk);
+  t.AppendPoint("next_pk", next_pk != nullptr ? *next_pk : Point::Infinity());
+  t.AppendU64("has_next", next_pk != nullptr ? 1 : 0);
+  for (const auto& [label, point] :
+       {std::pair{"in.r", in.r}, {"in.c", in.c}, {"in.y", in.y},
+        {"out.r", output.r}, {"out.c", output.c}, {"out.y", output.y},
+        {"a1", proof.a1}, {"a2", proof.a2}, {"a3", proof.a3}}) {
+    t.AppendPoint(label, point);
+  }
+  const Scalar e = t.ChallengeScalar("e");
+  Point lhs = in.y.Mul(proof.zx).Neg();
+  if (next_pk != nullptr) {
+    lhs = lhs + next_pk->Mul(proof.zr);
+  }
+  return Point::BaseMul(proof.zx) == proof.a1 + server_pk.Mul(e) &&
+         Point::BaseMul(proof.zr) == proof.a2 + (output.r - in.r).Mul(e) &&
+         lhs == proof.a3 + (output.c - in.c).Mul(e);
+}
+
+// NIZK verification at mix_nizk's shape: a ReEnc sub-batch of 3 proofs
+// (one 3-point message) and VerifyShuffle at n = 2, l = 3. Gates: the
+// batched check costs at most half of independent per-relation checks per
+// proof, and no more per proof than the per-proof (batch-of-one) API.
+bool MeasureNizk(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e5});
+  auto server = ElGamalKeyGen(rng);
+  auto next = ElGamalKeyGen(rng);
+  constexpr size_t kSub = 3;
+  std::vector<ElGamalCiphertext> ins, outs;
+  std::vector<ReEncProof> proofs;
+  for (size_t i = 0; i < kSub; i++) {
+    Point m = Point::BaseMul(Scalar::Random(rng));
+    ins.push_back(ElGamalEncrypt(server.pk, m, rng));
+    Scalar rewrap;
+    outs.push_back(ElGamalReEnc(server.sk, &next.pk, ins.back(), rng,
+                                &rewrap));
+    proofs.push_back(MakeReEncProof(server.sk, server.pk, &next.pk,
+                                    ins.back(), outs.back(), rewrap, rng));
+  }
+  const int reps = smoke ? 7 : 21;
+  Spread independent, single, batched;
+  bool verdicts = true;
+  for (int r = 0; r < reps; r++) {
+    independent.Time([&] {
+      for (size_t i = 0; i < kSub; i++) {
+        verdicts &= IndependentVerifyReEnc(server.pk, &next.pk, ins[i],
+                                           outs[i], proofs[i]);
+      }
+    });
+    single.Time([&] {
+      for (size_t i = 0; i < kSub; i++) {
+        verdicts &= VerifyReEncProof(server.pk, &next.pk, ins[i], outs[i],
+                                     proofs[i]);
+      }
+    });
+    batched.Time([&] {
+      verdicts &= VerifyReEncProofBatch(server.pk, &next.pk, ins, outs,
+                                        proofs);
+    });
+  }
+  ATOM_CHECK(verdicts);
+  const double per = 1e6 / kSub;
+  const bool halves = 2 * batched.Median() <= independent.Median();
+  const bool beats_single =
+      batched.Median() <= single.Median() + single.Iqr();
+  std::printf("reenc verify, sub-batch of %zu: independent %.0f us/proof, "
+              "per-proof API %.0f us/proof, batched %.0f us/proof "
+              "-> %.2fx / %.2fx%s\n",
+              kSub, per * independent.Median(), per * single.Median(),
+              per * batched.Median(),
+              independent.Median() / batched.Median(),
+              single.Median() / batched.Median(),
+              halves && beats_single ? "" : "  FAIL");
+  json.Num("reenc_verify_independent_us", per * independent.Median());
+  json.Num("reenc_verify_single_us", per * single.Median());
+  json.Num("reenc_verify_batched3_us", per * batched.Median());
+  json.Num("reenc_verify_batched3_iqr_us", per * batched.Iqr());
+
+  CiphertextBatch batch(2);
+  for (auto& vec : batch) {
+    for (size_t c = 0; c < 3; c++) {
+      vec.push_back(ElGamalEncrypt(server.pk,
+                                   Point::BaseMul(Scalar::Random(rng)), rng));
+    }
+  }
+  ShuffleResult shuffled = ShuffleAndProve(server.pk, batch, rng);
+  Spread verify;
+  for (int r = 0; r < reps; r++) {
+    verify.Time([&] {
+      verdicts &= VerifyShuffle(server.pk, batch, shuffled.output,
+                                shuffled.proof);
+    });
+  }
+  ATOM_CHECK(verdicts);
+  std::printf("VerifyShuffle n=2 l=3: %.2f ms (IQR %.2f)\n",
+              1e3 * verify.Median(), 1e3 * verify.Iqr());
+  json.Num("shuffle_verify_n2_l3_ms", 1e3 * verify.Median());
+  json.Num("shuffle_verify_n2_l3_iqr_ms", 1e3 * verify.Iqr());
+  return halves && beats_single;
 }
 
 }  // namespace
@@ -279,15 +441,18 @@ int main(int argc, char** argv) {
   std::printf("Paper (Go, c4.xlarge): Enc 140us, ReEnc 335us, "
               "Shuffle(1024) 107ms,\n  EncProof 162/139us, "
               "ReEncProof 655/446us, ShufProof(1024) 757/1410ms.\n\n");
+  bool gates_ok = true;
   {
     BenchJson json("bench_table3_primitives");
     json.Bool("smoke", smoke);
-    MeasureHotPath(json, smoke);
+    gates_ok &= MeasureHotPath(json, smoke);
+    gates_ok &= MeasureNizk(json, smoke);
+    json.Bool("gates_ok", gates_ok);
   }  // write the JSON before the (skippable) google-benchmark table
   if (!smoke) {
     int bench_argc = static_cast<int>(bench_argv.size());
     benchmark::Initialize(&bench_argc, bench_argv.data());
     benchmark::RunSpecifiedBenchmarks();
   }
-  return 0;
+  return gates_ok ? 0 : 1;
 }

@@ -196,18 +196,22 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
       }
 
       if (variant == Variant::kNizk) {
-        // Prove and verify every component's reencryption.
+        // Prove every component's reencryption (in the Rng order the
+        // per-component loop always used: message-major, two draws per
+        // proof), then verify the whole sub-batch with one batched check.
         auto t2 = Clock::now();
-        bool ok = true;
-        for (size_t m = 0; m < sub.size() && ok; m++) {
-          for (size_t c = 0; c < sub[m].size() && ok; c++) {
-            ReEncProof proof =
-                MakeReEncProof(weighted, weighted_pub, next, sub[m][c],
-                               out[m][c], rewrap[m][c], rng);
-            ok = VerifyReEncProof(weighted_pub, next, sub[m][c], out[m][c],
-                                  proof);
+        std::vector<ElGamalCiphertext> ins, outs;
+        std::vector<ReEncProof> proofs;
+        for (size_t m = 0; m < sub.size(); m++) {
+          for (size_t c = 0; c < sub[m].size(); c++) {
+            proofs.push_back(MakeReEncProof(weighted, weighted_pub, next,
+                                            sub[m][c], out[m][c],
+                                            rewrap[m][c], rng));
+            ins.push_back(sub[m][c]);
+            outs.push_back(out[m][c]);
           }
         }
+        bool ok = VerifyReEncProofBatch(weighted_pub, next, ins, outs, proofs);
         result.stats.verify_seconds += SecondsSince(t2);
         if (!ok) {
           result.aborted = true;

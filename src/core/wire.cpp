@@ -13,7 +13,9 @@ void PutCiphertextVec(ByteWriter& w, const ElGamalCiphertextVec& cts) {
 
 bool GetCiphertextVec(ByteReader& r, ElGamalCiphertextVec* out) {
   auto n = r.U32();
-  if (!n || *n > (1u << 16)) {
+  // Bound the count by the bytes left before it drives reserve().
+  if (!n || *n > (1u << 16) ||
+      *n > r.remaining() / ElGamalCiphertext::kEncodedSize) {
     return false;
   }
   out->reserve(*n);
@@ -40,7 +42,7 @@ void PutProofs(ByteWriter& w, const std::vector<EncProof>& proofs) {
 
 bool GetProofs(ByteReader& r, std::vector<EncProof>* out) {
   auto n = r.U32();
-  if (!n || *n > (1u << 16)) {
+  if (!n || *n > (1u << 16) || *n > r.remaining() / EncProof::kEncodedSize) {
     return false;
   }
   out->reserve(*n);
@@ -99,7 +101,9 @@ void PutBatch(ByteWriter& w, const CiphertextBatch& batch) {
 
 bool GetBatch(ByteReader& r, CiphertextBatch* out) {
   auto n = r.U32();
-  if (!n || *n > (1u << 22)) {
+  // Every vector costs at least its 4-byte count, so a count beyond
+  // remaining/4 is malformed; reject it before resize() allocates it.
+  if (!n || *n > (1u << 22) || *n > r.remaining() / 4) {
     return false;
   }
   out->resize(*n);

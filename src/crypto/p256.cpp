@@ -1,5 +1,6 @@
 #include "src/crypto/p256.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "src/crypto/sha256.h"
@@ -339,6 +340,29 @@ Point Point::AddMixed(const Point& jacobian, const Point& affine) {
   return out;
 }
 
+void Point::NormalizeBatch(std::span<Point> points) {
+  const Mont& fp = FieldP();
+  std::vector<U256> zs;
+  zs.reserve(points.size());
+  for (const Point& p : points) {
+    if (!p.IsInfinity()) {
+      zs.push_back(p.z_);
+    }
+  }
+  fp.BatchInv(zs);
+  size_t j = 0;
+  for (Point& p : points) {
+    if (p.IsInfinity()) {
+      continue;
+    }
+    const U256& zinv = zs[j++];
+    U256 zinv2 = fp.Mul(zinv, zinv);
+    p.x_ = fp.Mul(p.x_, zinv2);
+    p.y_ = fp.Mul(p.y_, fp.Mul(zinv2, zinv));
+    p.z_ = fp.one();
+  }
+}
+
 FixedBaseTable::FixedBaseTable(const Point& base) : base_(base) {
   if (base.IsInfinity()) {
     return;  // Mul short-circuits; the table is never consulted.
@@ -353,27 +377,9 @@ FixedBaseTable::FixedBaseTable(const Point& base) : base_(base) {
   }
   // Normalize all 960 entries to affine (z == 1) with ONE shared inversion
   // so Mul can use the mixed add. Every entry is (d << 4w) * base with a
-  // multiplier in [1, 15 * 2^252] < n, so none is the identity and every z
-  // is invertible (the curve has prime order, cofactor 1).
-  const Mont& fp = FieldP();
-  std::vector<U256> zs;
-  zs.reserve(64 * 15);
-  for (int w = 0; w < 64; w++) {
-    for (int d = 0; d < 15; d++) {
-      zs.push_back(table_[w][d].z_);
-    }
-  }
-  fp.BatchInv(zs);
-  for (int w = 0; w < 64; w++) {
-    for (int d = 0; d < 15; d++) {
-      Point& p = table_[w][d];
-      const U256& zinv = zs[static_cast<size_t>(w) * 15 + d];
-      U256 zinv2 = fp.Mul(zinv, zinv);
-      p.x_ = fp.Mul(p.x_, zinv2);
-      p.y_ = fp.Mul(p.y_, fp.Mul(zinv2, zinv));
-      p.z_ = fp.one();
-    }
-  }
+  // multiplier in [1, 15 * 2^252] < n, so none is the identity (the curve
+  // has prime order, cofactor 1).
+  Point::NormalizeBatch(std::span<Point>(&table_[0][0], 64 * 15));
 }
 
 Point FixedBaseTable::Mul(const Scalar& k) const {
@@ -410,26 +416,17 @@ void Point::ToAffine(U256* out_x, U256* out_y) const {
 
 std::vector<Point::AffineCoords> Point::BatchToAffine(
     std::span<const Point> points) {
+  std::vector<Point> normalized(points.begin(), points.end());
+  NormalizeBatch(normalized);
   const Mont& fp = FieldP();
   std::vector<AffineCoords> out(points.size());
-  std::vector<U256> zs;
-  zs.reserve(points.size());
-  for (const Point& p : points) {
-    if (!p.IsInfinity()) {
-      zs.push_back(p.z_);
-    }
-  }
-  fp.BatchInv(zs);
-  size_t j = 0;
   for (size_t i = 0; i < points.size(); i++) {
-    if (points[i].IsInfinity()) {
+    if (normalized[i].IsInfinity()) {
       out[i].infinity = true;
       continue;
     }
-    const U256& zinv = zs[j++];
-    U256 zinv2 = fp.Mul(zinv, zinv);
-    out[i].x = fp.FromMont(fp.Mul(points[i].x_, zinv2));
-    out[i].y = fp.FromMont(fp.Mul(points[i].y_, fp.Mul(zinv2, zinv)));
+    out[i].x = fp.FromMont(normalized[i].x_);
+    out[i].y = fp.FromMont(normalized[i].y_);
   }
   return out;
 }
@@ -501,42 +498,59 @@ Bytes EncodePoints(std::span<const Point> points) {
   return out;
 }
 
-Point MultiScalarMul(std::span<const Point> points,
-                     std::span<const Scalar> scalars) {
-  ATOM_CHECK(points.size() == scalars.size());
-  const size_t n = points.size();
-  if (n == 0) {
-    return Point::Infinity();
-  }
-  // Below n = 8 the naive sum wins: Pippenger's smallest window (c = 4)
-  // still pays 256 doublings plus a 15-bucket running-sum sweep across all
-  // 64 windows, which measured (bench_table3_primitives, BM_Msm at n = 4/8)
-  // only breaks even against n independent windowed Muls around n ≈ 8.
-  if (n < 8) {
-    Point acc = Point::Infinity();
-    for (size_t i = 0; i < n; i++) {
-      acc = acc + points[i].Mul(scalars[i]);
-    }
-    return acc;
-  }
+namespace {
 
-  // Pippenger bucket method. Window width c trades bucket-count (2^c - 1
-  // adds per window in the running-sum sweep) against window-count
-  // (256/c iterations over all n points): the optimum grows with
-  // log2(n). The schedule below follows the measured crossovers on this
-  // implementation (c = 7 overtakes c = 4 near n ≈ 32, c = 9 near
-  // n ≈ 256, c = 11 near n ≈ 2048 — each within ~10% of its neighbor at
-  // the boundary, so exact cut points are not critical).
-  int c = 4;
-  if (n >= 32) {
-    c = 7;
+// Width-5 NAF: every nonzero digit is odd and in [-15, 15], and any two
+// nonzero digits are at least 5 positions apart, so a 256-bit scalar has
+// ~256/6 nonzero digits. kNafDigits leaves room for the final carry.
+constexpr int kNafWidth = 5;
+constexpr size_t kNafDigits = 257;
+constexpr size_t kNafTableSize = 1u << (kNafWidth - 2);  // P, 3P, ..., 15P
+
+// Writes the width-5 NAF of `k` to digits[0..kNafDigits) (least significant
+// first) and returns one past the index of its top nonzero digit.
+size_t NafDigits(const U256& k, int8_t* digits) {
+  const uint64_t limbs[5] = {k.v[0], k.v[1], k.v[2], k.v[3], 0};
+  constexpr uint64_t kWidth = 1u << kNafWidth;
+  std::fill(digits, digits + kNafDigits, int8_t{0});
+  size_t top = 0;
+  uint64_t carry = 0;
+  size_t pos = 0;
+  while (pos < kNafDigits) {
+    const size_t limb = pos / 64, bit = pos % 64;
+    uint64_t buf = limbs[limb] >> bit;
+    if (bit + kNafWidth > 64) {
+      buf |= limbs[limb + 1] << (64 - bit);
+    }
+    const uint64_t window = carry + (buf & (kWidth - 1));
+    if ((window & 1) == 0) {
+      pos++;
+      continue;
+    }
+    if (window < kWidth / 2) {
+      carry = 0;
+      digits[pos] = static_cast<int8_t>(window);
+    } else {
+      carry = 1;
+      digits[pos] = static_cast<int8_t>(static_cast<int>(window) -
+                                        static_cast<int>(kWidth));
+    }
+    top = pos + 1;
+    pos += kNafWidth;
   }
-  if (n >= 256) {
-    c = 9;
-  }
-  if (n >= 2048) {
-    c = 11;
-  }
+  return top;
+}
+
+// Pippenger bucket method for large batches: per c-bit window, every term
+// lands in one of 2^c - 1 buckets (one add each) and a running-sum sweep
+// weights the buckets, so the per-term cost falls as c grows while the
+// sweep's 2^(c+1) adds per window are shared by the whole batch.
+Point PippengerMsm(std::span<const Point> points,
+                   std::span<const Scalar> scalars) {
+  const size_t n = points.size();
+  // Measured (bench_table3_primitives): c = 9 beats c = 11 up to n ~ 5000
+  // and c = 11 wins from n ~ 6000.
+  const int c = n >= 6144 ? 11 : 9;
   const int num_windows = (256 + c - 1) / c;
   const size_t num_buckets = (1u << c) - 1;
 
@@ -547,10 +561,9 @@ Point MultiScalarMul(std::span<const Point> points,
 
   auto digit_of = [&](const U256& e, int window) -> uint64_t {
     int bit = window * c;
-    uint64_t d = 0;
     // Collect c bits starting at `bit` (may straddle a limb boundary).
     int limb = bit / 64, off = bit % 64;
-    d = e.v[limb] >> off;
+    uint64_t d = e.v[limb] >> off;
     if (off + c > 64 && limb + 1 < 4) {
       d |= e.v[limb + 1] << (64 - off);
     }
@@ -582,6 +595,76 @@ Point MultiScalarMul(std::span<const Point> points,
     result = result + window_sum;
   }
   return result;
+}
+
+}  // namespace
+
+Point MultiScalarMul(std::span<const Point> points,
+                     std::span<const Scalar> scalars) {
+  ATOM_CHECK(points.size() == scalars.size());
+  if (points.size() >= kPippengerMinTerms) {
+    return PippengerMsm(points, scalars);
+  }
+
+  // Straus: per term, a table of the odd multiples P, 3P, ..., 15P
+  // (normalized to affine with one inversion for the whole batch) and the
+  // scalar's width-5 NAF; then one shared doubling chain, adding each
+  // term's table entry wherever its digit is nonzero. A scalar above n/2
+  // is replaced by n - k (at most 255 bits) with the point negated, so a
+  // combination whose scalars are small in absolute value — such as the
+  // verifiers' negated 128-bit batch weights — gets a short chain.
+  static const U256 half_order = [] {
+    U256 half = P256Order();
+    for (int i = 0; i < 4; i++) {
+      half.v[i] = (half.v[i] >> 1) | (i < 3 ? (half.v[i + 1] << 63) : 0);
+    }
+    return half;
+  }();
+  std::vector<Point> tables;
+  std::vector<int8_t> digits;
+  tables.reserve(points.size() * kNafTableSize);
+  digits.reserve(points.size() * kNafDigits);
+  size_t chain = 0;
+  for (size_t i = 0; i < points.size(); i++) {
+    if (points[i].IsInfinity() || scalars[i].IsZero()) {
+      continue;
+    }
+    U256 k = scalars[i].PlainValue();
+    Point p = points[i];
+    if (U256Less(half_order, k)) {
+      k = scalars[i].Neg().PlainValue();
+      p = p.Neg();
+    }
+    const size_t base = tables.size();
+    tables.resize(base + kNafTableSize);
+    tables[base] = p;
+    const Point twice = p.Double();
+    for (size_t j = 1; j < kNafTableSize; j++) {
+      tables[base + j] = tables[base + j - 1] + twice;
+    }
+    digits.resize(digits.size() + kNafDigits);
+    chain = std::max(chain,
+                     NafDigits(k, digits.data() + digits.size() - kNafDigits));
+  }
+  // Odd multiples d·P with d < 16 of a non-identity point are never the
+  // identity (prime order), so every entry gets z == 1.
+  Point::NormalizeBatch(tables);
+
+  const size_t terms = tables.size() / kNafTableSize;
+  Point acc = Point::Infinity();
+  for (size_t pos = chain; pos-- > 0;) {
+    acc = acc.Double();
+    for (size_t t = 0; t < terms; t++) {
+      const int d = digits[t * kNafDigits + pos];
+      if (d > 0) {
+        acc = Point::AddMixed(acc, tables[t * kNafTableSize + (d >> 1)]);
+      } else if (d < 0) {
+        acc = Point::AddMixed(acc,
+                              tables[t * kNafTableSize + (-d >> 1)].Neg());
+      }
+    }
+  }
+  return acc;
 }
 
 // ---------------------------------------------------- derived generators --

@@ -1,6 +1,7 @@
 // NIST P-256 group operations: scalars mod the group order, Jacobian points,
-// windowed scalar multiplication, Pippenger multi-scalar multiplication,
-// hash-to-point, and reversible message-to-point embedding.
+// windowed scalar multiplication, multi-scalar multiplication (shared-doubling
+// Straus for small batches, Pippenger for large ones), hash-to-point, and
+// reversible message-to-point embedding.
 //
 // This is the DDH group G from the paper (§5 uses NIST P-256 [6]); every
 // cryptosystem in src/crypto builds on these two types.
@@ -16,6 +17,10 @@
 //   - Point::BatchToAffine / EncodePoints: batch affine normalization and
 //     SEC1 encoding with ONE field inversion per batch (Montgomery's
 //     trick) instead of one ~256-bit exponentiation per point.
+//   - MultiScalarMul: one doubling chain shared by every term, so a
+//     k-term linear combination costs ~one Mul plus k short add streams
+//     instead of k Muls. The NIZK verifiers fold each proof's equations
+//     into one such combination.
 #ifndef SRC_CRYPTO_P256_H_
 #define SRC_CRYPTO_P256_H_
 
@@ -124,10 +129,18 @@ class Point {
  private:
   friend class FixedBaseTable;
 
+  friend Point MultiScalarMul(std::span<const Point> points,
+                              std::span<const Scalar> scalars);
+
   // Mixed-coordinate addition: `affine` must be the identity or have z == 1
-  // (Montgomery one), which saves ~8 field multiplications over the general
-  // Jacobian add. FixedBaseTable entries satisfy this by construction.
+  // (Montgomery one), which saves ~5 field multiplications over the general
+  // Jacobian add. FixedBaseTable entries and MultiScalarMul's window tables
+  // satisfy this by construction (NormalizeBatch).
   static Point AddMixed(const Point& jacobian, const Point& affine);
+
+  // Rescales every non-identity point to z == 1 in place, sharing one field
+  // inversion across the batch (Montgomery's trick).
+  static void NormalizeBatch(std::span<Point> points);
 
   U256 x_, y_, z_;
 };
@@ -161,7 +174,15 @@ class FixedBaseTable {
 // instead of one per point.
 Bytes EncodePoints(std::span<const Point> points);
 
-// Sum of scalars[i] * points[i] (Pippenger bucket method).
+// Sum of scalars[i] * points[i]. Below kPippengerMinTerms terms this is an
+// interleaved width-5 NAF (Straus) evaluation: every term shares one
+// doubling chain, whose length is that of the longest scalar once each
+// scalar k is replaced by min(k, n - k) (negating the point to match). At
+// or above it, the Pippenger bucket method; the crossover was measured on
+// this implementation (Straus ahead at 768 terms, Pippenger at 896).
+// Identity points and zero scalars are skipped; the result equals the
+// naive sum of Point::Mul on every input.
+inline constexpr size_t kPippengerMinTerms = 896;
 Point MultiScalarMul(std::span<const Point> points,
                      std::span<const Scalar> scalars);
 

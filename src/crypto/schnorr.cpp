@@ -81,27 +81,25 @@ bool SchnorrVerifyBatch(std::span<const Point> pks,
     t.AppendPoint("commit", sigs[i].commit);
     t.AppendScalar("s", sigs[i].response);
   }
-  auto seed = t.ChallengeBytes("gamma-seed");
-  Rng stream{BytesView(seed.data(), seed.size())};
+  std::vector<Scalar> gamma = t.ChallengeWeights("gamma", n);
 
-  // Per-signature equation: s_i·G == R_i + e_i·pk_i. Random-combined:
-  //   (Σ γ_i·s_i)·G == Σ γ_i·R_i + Σ (γ_i·e_i)·pk_i.
-  Scalar lhs_scalar = Scalar::Zero();
-  std::vector<Point> points;
-  std::vector<Scalar> scalars;
-  points.reserve(2 * n);
-  scalars.reserve(2 * n);
+  // Per-signature equation: s_i·G - R_i - e_i·pk_i == identity. Weighted:
+  //   (Σ γ_i·s_i)·G - Σ γ_i·R_i - Σ (γ_i·e_i)·pk_i == identity.
+  Scalar g_scalar = Scalar::Zero();
+  std::vector<Point> points = {Point::Generator()};
+  std::vector<Scalar> scalars = {Scalar::Zero()};
+  points.reserve(2 * n + 1);
+  scalars.reserve(2 * n + 1);
   for (size_t i = 0; i < n; i++) {
-    Scalar gamma = Scalar::Random(stream);
     Scalar e = Challenge(sigs[i].commit, pks[i], messages[i]);
-    lhs_scalar = lhs_scalar + gamma * sigs[i].response;
+    g_scalar = g_scalar + gamma[i] * sigs[i].response;
     points.push_back(sigs[i].commit);
-    scalars.push_back(gamma);
+    scalars.push_back(gamma[i].Neg());
     points.push_back(pks[i]);
-    scalars.push_back(gamma * e);
+    scalars.push_back((gamma[i] * e).Neg());
   }
-  Point rhs = MultiScalarMul(points, scalars);
-  return Point::BaseMul(lhs_scalar) == rhs;
+  scalars[0] = g_scalar;
+  return MultiScalarMul(points, scalars).IsInfinity();
 }
 
 }  // namespace atom

@@ -1,6 +1,5 @@
 #include "src/crypto/shuffle.h"
 
-#include <atomic>
 #include <mutex>
 
 #include "src/crypto/transcript.h"
@@ -536,82 +535,91 @@ bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
   }
   Scalar challenge = transcript.ChallengeScalar("c");
 
-  // REL1: Σc[j] - ΣH[i] = r̄·G.
-  Point c_bar = Point::Infinity();
-  for (size_t j = 0; j < n; j++) {
-    c_bar = c_bar + proof.perm_commit[j];
+  // Every relation below is an equation "… == identity"; they are checked
+  // together as one weighted sum (one MSM, one shared doubling chain), with
+  // 128-bit weights hashed from the statement, the whole proof and both
+  // challenges (Transcript::ChallengeWeights):
+  //   REL1  s1·G - t1 - c·(Σc[j] - ΣH[i])
+  //   REL2  s2·G - t2 - c·(ĉ[n-1] - (Πu[j])·H)
+  //   REL3  s3·G + Σs'[i]·H[i] - t3 - c·Σu[j]·c[j]
+  //   REL4  Σs'[i]·ẽ[i].r - s4·G  - t4a - c·Σu[j]·e[j].r   (per component)
+  //         Σs'[i]·ẽ[i].c - s4·pk - t4b - c·Σu[j]·e[j].c   (per component)
+  //   chain ŝ[i]·G + s'[i]·ĉ[i-1] - t̂[i] - c·ĉ[i]          (ĉ[-1] = H)
+  transcript.AppendScalar("s1", proof.s1);
+  transcript.AppendScalar("s2", proof.s2);
+  transcript.AppendScalar("s3", proof.s3);
+  for (const auto* responses : {&proof.s4, &proof.s_hat, &proof.s_prime}) {
+    for (const Scalar& r : *responses) {
+      transcript.AppendScalar("s", r);
+    }
   }
-  for (size_t i = 0; i < n; i++) {
-    c_bar = c_bar - hs[i];
-  }
-  if (!(Point::BaseMul(proof.s1) == proof.t1 + c_bar.Mul(challenge))) {
-    return false;
-  }
+  const std::vector<Scalar> w =
+      transcript.ChallengeWeights("batch", 3 + 2 * l + n);
+  const Scalar &w1 = w[0], &w2 = w[1], &w3 = w[2];
+  auto w4a = [&](size_t c) -> const Scalar& { return w[3 + 2 * c]; };
+  auto w4b = [&](size_t c) -> const Scalar& { return w[4 + 2 * c]; };
+  auto w_chain = [&](size_t i) -> const Scalar& { return w[3 + 2 * l + i]; };
 
-  // REL2: ĉ[n-1] - (Πu[j])·H = r̂·G.
   Scalar u_product = Scalar::One();
   for (size_t j = 0; j < n; j++) {
     u_product = u_product * u[j];
   }
-  Point c_hat = proof.chain_commit[n - 1] - chain_base.Mul(u_product);
-  if (!(Point::BaseMul(proof.s2) == proof.t2 + c_hat.Mul(challenge))) {
-    return false;
+
+  std::vector<Point> points;
+  std::vector<Scalar> scalars;
+  points.reserve(6 + 2 * l + 4 * n + 4 * n * l);
+  scalars.reserve(points.capacity());
+  auto term = [&](const Point& p, const Scalar& k) {
+    points.push_back(p);
+    scalars.push_back(k);
+  };
+
+  // Shared bases: G, pk, the chain base H.
+  Scalar g = w1 * proof.s1 + w2 * proof.s2 + w3 * proof.s3;
+  Scalar pk_scalar = Scalar::Zero();
+  for (size_t c = 0; c < l; c++) {
+    g = g - w4a(c) * proof.s4[c];
+    pk_scalar = pk_scalar - w4b(c) * proof.s4[c];
+  }
+  for (size_t i = 0; i < n; i++) {
+    g = g + w_chain(i) * proof.s_hat[i];
+  }
+  term(Point::Generator(), g);
+  term(pk, pk_scalar);
+  term(chain_base, w2 * challenge * u_product + w_chain(0) * proof.s_prime[0]);
+
+  // Sigma commitments.
+  term(proof.t1, w1.Neg());
+  term(proof.t2, w2.Neg());
+  term(proof.t3, w3.Neg());
+  for (size_t c = 0; c < l; c++) {
+    term(proof.t4a[c], w4a(c).Neg());
+    term(proof.t4b[c], w4b(c).Neg());
   }
 
-  // REL3: Σu[j]·c[j] = r~·G + Σu'[i]·H[i], checked as
-  //   s3·G + Σ s'[i]·H[i] == t3 + c·c~.
-  Point c_tilde = ParallelMsm(proof.perm_commit, u, workers);
-  Point lhs3 = Point::BaseMul(proof.s3) + ParallelMsm(hs, proof.s_prime,
-                                                      workers);
-  if (!(lhs3 == proof.t3 + c_tilde.Mul(challenge))) {
-    return false;
-  }
-
-  // REL4 per component: Σ s'[i]·ẽ[i] - s4·(G|pk) == t4 + c·(Σ u[j]·e[j]).
-  {
-    std::vector<Point> col(n);
+  // Per message: permutation commitments, generators, chain, ciphertexts.
+  const Scalar w1c = w1 * challenge, w3c = w3 * challenge;
+  for (size_t i = 0; i < n; i++) {
+    term(proof.perm_commit[i], (w1c + w3c * u[i]).Neg());
+    term(hs[i], w1c + w3 * proof.s_prime[i]);
+    term(proof.t_hat[i], w_chain(i).Neg());
+    // ĉ[i] closes chain step i and links step i+1 (REL2 closes the last).
+    Scalar chain_scalar = (w_chain(i) * challenge).Neg();
+    if (i + 1 < n) {
+      chain_scalar = chain_scalar + w_chain(i + 1) * proof.s_prime[i + 1];
+    } else {
+      chain_scalar = chain_scalar - w2 * challenge;
+    }
+    term(proof.chain_commit[i], chain_scalar);
     for (size_t c = 0; c < l; c++) {
-      for (size_t i = 0; i < n; i++) {
-        col[i] = input[i][c].r;
-      }
-      Point e_bar_a = ParallelMsm(col, u, workers);
-      for (size_t i = 0; i < n; i++) {
-        col[i] = output[i][c].r;
-      }
-      Point lhs_a =
-          ParallelMsm(col, proof.s_prime, workers) - Point::BaseMul(proof.s4[c]);
-      if (!(lhs_a == proof.t4a[c] + e_bar_a.Mul(challenge))) {
-        return false;
-      }
-      for (size_t i = 0; i < n; i++) {
-        col[i] = input[i][c].c;
-      }
-      Point e_bar_b = ParallelMsm(col, u, workers);
-      for (size_t i = 0; i < n; i++) {
-        col[i] = output[i][c].c;
-      }
-      Point lhs_b =
-          ParallelMsm(col, proof.s_prime, workers) - pk.Mul(proof.s4[c]);
-      if (!(lhs_b == proof.t4b[c] + e_bar_b.Mul(challenge))) {
-        return false;
-      }
+      term(output[i][c].r, w4a(c) * proof.s_prime[i]);
+      term(output[i][c].c, w4b(c) * proof.s_prime[i]);
+      const Scalar cu = challenge * u[i];
+      term(input[i][c].r, (w4a(c) * cu).Neg());
+      term(input[i][c].c, (w4b(c) * cu).Neg());
     }
   }
-
-  // Chain steps: ŝ[i]·G + s'[i]·ĉ[i-1] == t̂[i] + c·ĉ[i].
-  std::atomic<bool> chain_ok{true};
-  ParallelFor(workers, n, [&](size_t i) {
-    if (!chain_ok.load(std::memory_order_relaxed)) {
-      return;
-    }
-    const Point& link = (i == 0) ? chain_base : proof.chain_commit[i - 1];
-    Point lhs = Point::BaseMul(proof.s_hat[i]) + link.Mul(proof.s_prime[i]);
-    Point rhs = proof.t_hat[i] + proof.chain_commit[i].Mul(challenge);
-    if (!(lhs == rhs)) {
-      chain_ok.store(false, std::memory_order_relaxed);
-    }
-  });
-  return chain_ok.load();
+  return ParallelMsm(points, scalars, workers).IsInfinity();
 }
 
 }  // namespace atom

@@ -94,6 +94,9 @@ ShuffleResult ShuffleAndProve(const FixedBaseTable& pk,
                               size_t workers = 1);
 
 // Verifies that `output` is a permuted rerandomization of `input` under pk.
+// Every relation of the argument is checked at once, as one weighted
+// MultiScalarMul of 6 + 2L + 4n + 4nL terms (weights hashed from the
+// statement and proof; a false proof passes with probability <= 2^-128).
 bool VerifyShuffle(const Point& pk, const CiphertextBatch& input,
                    const CiphertextBatch& output, const ShuffleProof& proof,
                    size_t workers = 1);

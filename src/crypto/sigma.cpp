@@ -29,23 +29,35 @@ ElGamalCiphertext NormalizeInput(const ElGamalCiphertext& input) {
   return in;
 }
 
-Scalar ReEncChallenge(const Point& server_pk, const Point* next_pk,
-                      const ElGamalCiphertext& in,
-                      const ElGamalCiphertext& out, const Point& a1,
-                      const Point& a2, const Point& a3) {
+// A ReEnc challenge hashes the two keys and then, per proof, these nine
+// points in this order (labels below). Callers encode [server_pk,
+// next_pk-or-identity, then nine points per proof] with ONE EncodePoints
+// call — one field inversion for the whole sub-batch — and each challenge
+// reads its slice; the transcript bytes equal per-point AppendPoint.
+constexpr size_t kReEncPoints = 9;
+
+void AppendReEncPoints(const ElGamalCiphertext& in,
+                       const ElGamalCiphertext& out, const ReEncProof& proof,
+                       std::vector<Point>* points) {
+  points->insert(points->end(), {in.r, in.c, in.y, out.r, out.c, out.y,
+                                 proof.a1, proof.a2, proof.a3});
+}
+
+// `encoded` is the EncodePoints output described above; `index` picks the
+// proof.
+Scalar ReEncChallenge(BytesView encoded, bool has_next, size_t index) {
+  static constexpr const char* kLabels[kReEncPoints] = {
+      "in.r", "in.c", "in.y", "out.r", "out.c", "out.y", "a1", "a2", "a3"};
+  auto point = [&encoded](size_t slot) {
+    return encoded.subspan(slot * Point::kEncodedSize, Point::kEncodedSize);
+  };
   Transcript t("atom/reenc-proof/v1");
-  t.AppendPoint("server_pk", server_pk);
-  t.AppendPoint("next_pk", next_pk != nullptr ? *next_pk : Point::Infinity());
-  t.AppendU64("has_next", next_pk != nullptr ? 1 : 0);
-  t.AppendPoint("in.r", in.r);
-  t.AppendPoint("in.c", in.c);
-  t.AppendPoint("in.y", in.y);
-  t.AppendPoint("out.r", out.r);
-  t.AppendPoint("out.c", out.c);
-  t.AppendPoint("out.y", out.y);
-  t.AppendPoint("a1", a1);
-  t.AppendPoint("a2", a2);
-  t.AppendPoint("a3", a3);
+  t.AppendBytes("server_pk", point(0));
+  t.AppendBytes("next_pk", point(1));
+  t.AppendU64("has_next", has_next ? 1 : 0);
+  for (size_t j = 0; j < kReEncPoints; j++) {
+    t.AppendBytes(kLabels[j], point(2 + index * kReEncPoints + j));
+  }
   return t.ChallengeScalar("e");
 }
 
@@ -85,9 +97,8 @@ EncProof MakeEncProof(const Point& pk, uint32_t gid,
 
 bool VerifyEncProof(const Point& pk, uint32_t gid,
                     const ElGamalCiphertext& ct, const EncProof& proof) {
-  Scalar t = EncChallenge(pk, gid, ct, proof.commit);
-  // g^u == commit * R^t.
-  return Point::BaseMul(proof.u) == proof.commit + ct.r.Mul(t);
+  return VerifyEncProofBatch(pk, gid, ElGamalCiphertextVec{ct},
+                             std::span<const EncProof>(&proof, 1));
 }
 
 std::vector<EncProof> MakeEncProofVec(const Point& pk, uint32_t gid,
@@ -109,15 +120,7 @@ bool VerifyEncProofVec(const Point& pk, uint32_t gid,
   if (cts.size() != proofs.size()) {
     return false;
   }
-  if (cts.size() >= 8) {
-    return VerifyEncProofBatch(pk, gid, cts, proofs);
-  }
-  for (size_t i = 0; i < cts.size(); i++) {
-    if (!VerifyEncProof(pk, gid, cts[i], proofs[i])) {
-      return false;
-    }
-  }
-  return true;
+  return cts.empty() || VerifyEncProofBatch(pk, gid, cts, proofs);
 }
 
 bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
@@ -128,9 +131,6 @@ bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
   }
   const size_t n = cts.size();
 
-  // Derandomized batch coefficients: γ_i from a hash of the whole
-  // statement, so no coefficient can be predicted before the proofs are
-  // fixed.
   Transcript t("atom/enc-proof-batch/v1");
   t.AppendPoint("pk", pk);
   t.AppendU64("gid", gid);
@@ -141,27 +141,25 @@ bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
     t.AppendPoint("commit", proofs[i].commit);
     t.AppendScalar("u", proofs[i].u);
   }
-  auto seed = t.ChallengeBytes("gamma-seed");
-  Rng stream{BytesView(seed.data(), seed.size())};
+  std::vector<Scalar> gamma = t.ChallengeWeights("gamma", n);
 
-  // Per-proof equation: u_i·G == commit_i + t_i·R_i. Random-combined:
+  // Per-proof equation: u_i·G - commit_i - t_i·R_i == identity. Weighted:
   //   (Σ γ_i·u_i)·G - Σ γ_i·commit_i - Σ (γ_i·t_i)·R_i == identity.
-  Scalar lhs_scalar = Scalar::Zero();
-  std::vector<Point> points;
-  std::vector<Scalar> scalars;
-  points.reserve(2 * n);
-  scalars.reserve(2 * n);
+  Scalar g_scalar = Scalar::Zero();
+  std::vector<Point> points = {Point::Generator()};
+  std::vector<Scalar> scalars = {Scalar::Zero()};
+  points.reserve(2 * n + 1);
+  scalars.reserve(2 * n + 1);
   for (size_t i = 0; i < n; i++) {
-    Scalar gamma = Scalar::Random(stream);
     Scalar challenge = EncChallenge(pk, gid, cts[i], proofs[i].commit);
-    lhs_scalar = lhs_scalar + gamma * proofs[i].u;
+    g_scalar = g_scalar + gamma[i] * proofs[i].u;
     points.push_back(proofs[i].commit);
-    scalars.push_back(gamma);
+    scalars.push_back(gamma[i].Neg());
     points.push_back(cts[i].r);
-    scalars.push_back(gamma * challenge);
+    scalars.push_back((gamma[i] * challenge).Neg());
   }
-  Point rhs = MultiScalarMul(points, scalars);
-  return Point::BaseMul(lhs_scalar) == rhs;
+  scalars[0] = g_scalar;
+  return MultiScalarMul(points, scalars).IsInfinity();
 }
 
 // -------------------------------------------------------------- ReEncProof
@@ -219,48 +217,103 @@ ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
   ReEncProof proof;
   proof.a1 = Point::BaseMul(kx);
   proof.a2 = Point::BaseMul(kr);
-  // a3 commits to the c-relation: -kx*Y (+ kr*next_pk).
-  proof.a3 = in.y.Mul(kx).Neg();
+  // a3 commits to the c-relation: -kx*Y (+ kr*next_pk), one shared chain.
+  std::vector<Point> a3_points = {in.y};
+  std::vector<Scalar> a3_scalars = {kx.Neg()};
   if (next_pk != nullptr) {
-    proof.a3 = proof.a3 + next_pk->Mul(kr);
+    a3_points.push_back(*next_pk);
+    a3_scalars.push_back(kr);
   }
+  proof.a3 = MultiScalarMul(a3_points, a3_scalars);
 
-  Scalar e = ReEncChallenge(server_pk, next_pk, in, output, proof.a1,
-                            proof.a2, proof.a3);
+  std::vector<Point> transcript = {
+      server_pk, next_pk != nullptr ? *next_pk : Point::Infinity()};
+  AppendReEncPoints(in, output, proof, &transcript);
+  Scalar e = ReEncChallenge(BytesView(EncodePoints(transcript)),
+                            next_pk != nullptr, 0);
   proof.zx = kx + e * server_sk;
   proof.zr = kr + e * rewrap_randomness;
   return proof;
+}
+
+bool VerifyReEncProofBatch(const Point& server_pk, const Point* next_pk,
+                           std::span<const ElGamalCiphertext> inputs,
+                           std::span<const ElGamalCiphertext> outputs,
+                           std::span<const ReEncProof> proofs) {
+  if (inputs.size() != proofs.size() || outputs.size() != proofs.size()) {
+    return false;
+  }
+  const size_t n = proofs.size();
+  if (n == 0) {
+    return true;
+  }
+  std::vector<ElGamalCiphertext> ins(n);
+  std::vector<Point> transcript = {
+      server_pk, next_pk != nullptr ? *next_pk : Point::Infinity()};
+  transcript.reserve(2 + n * kReEncPoints);
+  for (size_t i = 0; i < n; i++) {
+    ins[i] = NormalizeInput(inputs[i]);
+    // The hop's Y must carry through unchanged.
+    if (!(outputs[i].y == ins[i].y)) {
+      return false;
+    }
+    AppendReEncPoints(ins[i], outputs[i], proofs[i], &transcript);
+  }
+  const Bytes encoded = EncodePoints(transcript);
+
+  Transcript t("atom/reenc-proof-batch/v1");
+  t.AppendBytes("points", BytesView(encoded));
+  t.AppendU64("has_next", next_pk != nullptr ? 1 : 0);
+  for (const ReEncProof& proof : proofs) {
+    t.AppendScalar("zx", proof.zx);
+    t.AppendScalar("zr", proof.zr);
+  }
+  std::vector<Scalar> rho = t.ChallengeWeights("rho", 3 * n);
+
+  // Per proof, with challenge e, dr = out.r - in.r, dc = out.c - in.c:
+  //   R1: zx·G - a1 - e·server_pk                  == identity
+  //   R2: zr·G - a2 - e·dr                         == identity
+  //   R3: -zx·Y (+ zr·next_pk) - a3 - e·dc         == identity
+  // weighted by ρ1, ρ2, ρ3 and summed over the batch; G, server_pk and
+  // next_pk are shared terms.
+  Scalar g_scalar = Scalar::Zero(), pk_scalar = Scalar::Zero(),
+         next_scalar = Scalar::Zero();
+  std::vector<Point> points = {Point::Generator(), server_pk};
+  points.reserve(3 + 6 * n);
+  std::vector<Scalar> scalars;
+  scalars.reserve(3 + 6 * n);
+  scalars.resize(2);
+  for (size_t i = 0; i < n; i++) {
+    const ReEncProof& proof = proofs[i];
+    const Scalar e = ReEncChallenge(BytesView(encoded), next_pk != nullptr, i);
+    const Scalar& r1 = rho[3 * i];
+    const Scalar& r2 = rho[3 * i + 1];
+    const Scalar& r3 = rho[3 * i + 2];
+    g_scalar = g_scalar + r1 * proof.zx + r2 * proof.zr;
+    pk_scalar = pk_scalar - r1 * e;
+    next_scalar = next_scalar + r3 * proof.zr;
+    points.insert(points.end(),
+                  {proof.a1, proof.a2, proof.a3, outputs[i].r - ins[i].r,
+                   ins[i].y, outputs[i].c - ins[i].c});
+    scalars.insert(scalars.end(), {r1.Neg(), r2.Neg(), r3.Neg(),
+                                   (r2 * e).Neg(), (r3 * proof.zx).Neg(),
+                                   (r3 * e).Neg()});
+  }
+  scalars[0] = g_scalar;
+  scalars[1] = pk_scalar;
+  if (next_pk != nullptr) {
+    points.push_back(*next_pk);
+    scalars.push_back(next_scalar);
+  }
+  return MultiScalarMul(points, scalars).IsInfinity();
 }
 
 bool VerifyReEncProof(const Point& server_pk, const Point* next_pk,
                       const ElGamalCiphertext& input,
                       const ElGamalCiphertext& output,
                       const ReEncProof& proof) {
-  ElGamalCiphertext in = NormalizeInput(input);
-  // The hop's Y must carry through unchanged.
-  if (!(output.y == in.y)) {
-    return false;
-  }
-
-  Scalar e = ReEncChallenge(server_pk, next_pk, in, output, proof.a1,
-                            proof.a2, proof.a3);
-
-  // Relation 1: zx*G == a1 + e*server_pk.
-  if (!(Point::BaseMul(proof.zx) == proof.a1 + server_pk.Mul(e))) {
-    return false;
-  }
-  // Relation 2: zr*G == a2 + e*(out.r - in.r).
-  Point dr = output.r - in.r;
-  if (!(Point::BaseMul(proof.zr) == proof.a2 + dr.Mul(e))) {
-    return false;
-  }
-  // Relation 3: -zx*Y (+ zr*next_pk) == a3 + e*(out.c - in.c).
-  Point lhs = in.y.Mul(proof.zx).Neg();
-  if (next_pk != nullptr) {
-    lhs = lhs + next_pk->Mul(proof.zr);
-  }
-  Point dc = output.c - in.c;
-  return lhs == proof.a3 + dc.Mul(e);
+  return VerifyReEncProofBatch(server_pk, next_pk, {&input, 1}, {&output, 1},
+                               {&proof, 1});
 }
 
 }  // namespace atom

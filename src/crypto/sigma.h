@@ -13,10 +13,18 @@
 //
 // Proofs are non-malleable in the usual Fiat-Shamir sense: the full
 // statement (keys, ciphertexts, context) is hashed into the challenge.
+//
+// Verification has one path per proof type: a batch verifier folds every
+// proof's equations into one random linear combination (weights hashed
+// from the statement and proofs, see Transcript::ChallengeWeights) checked
+// by a single MultiScalarMul, and the per-proof verifiers are batches of
+// one. A batch is accepted iff every proof in it is valid, except with
+// probability <= 2^-128.
 #ifndef SRC_CRYPTO_SIGMA_H_
 #define SRC_CRYPTO_SIGMA_H_
 
 #include <optional>
+#include <span>
 
 #include "src/crypto/elgamal.h"
 #include "src/crypto/p256.h"
@@ -40,6 +48,7 @@ EncProof MakeEncProof(const Point& pk, uint32_t gid,
                       const ElGamalCiphertext& ct, const Scalar& randomness,
                       Rng& rng);
 
+// Batch of one (VerifyEncProofBatch).
 bool VerifyEncProof(const Point& pk, uint32_t gid,
                     const ElGamalCiphertext& ct, const EncProof& proof);
 
@@ -48,17 +57,15 @@ std::vector<EncProof> MakeEncProofVec(const Point& pk, uint32_t gid,
                                       const ElGamalCiphertextVec& cts,
                                       std::span<const Scalar> randomness,
                                       Rng& rng);
+// True iff the counts match and every proof verifies (an empty vector is
+// trivially valid); one VerifyEncProofBatch call.
 bool VerifyEncProofVec(const Point& pk, uint32_t gid,
                        const ElGamalCiphertextVec& cts,
                        std::span<const EncProof> proofs);
 
 // Batch verification with the small-exponent random-linear-combination
-// test: one Pippenger MSM instead of 2N scalar multiplications, several
-// times faster for the entry groups, which verify every user's proofs.
-// Coefficients are derived by hashing the full statement (derandomized
-// batch test), so a batch containing any invalid proof is rejected except
-// with negligible probability. VerifyEncProofVec switches to this path
-// automatically for large batches.
+// test: one MultiScalarMul of 2N + 1 terms instead of 2N scalar
+// multiplications. Rejects an empty batch or mismatched counts.
 bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
                          const ElGamalCiphertextVec& cts,
                          std::span<const EncProof> proofs);
@@ -88,6 +95,15 @@ ReEncProof MakeReEncProof(const Scalar& server_sk, const Point& server_pk,
                           const ElGamalCiphertext& output,
                           const Scalar& rewrap_randomness, Rng& rng);
 
+// Checks every proof[i] for (inputs[i], outputs[i]) under one server key
+// and one neighbour key, as one MultiScalarMul of 6N + 3 terms; accepts iff
+// all proofs verify (vacuously for N = 0). Rejects mismatched counts.
+bool VerifyReEncProofBatch(const Point& server_pk, const Point* next_pk,
+                           std::span<const ElGamalCiphertext> inputs,
+                           std::span<const ElGamalCiphertext> outputs,
+                           std::span<const ReEncProof> proofs);
+
+// Batch of one (VerifyReEncProofBatch).
 bool VerifyReEncProof(const Point& server_pk, const Point* next_pk,
                       const ElGamalCiphertext& input,
                       const ElGamalCiphertext& output,

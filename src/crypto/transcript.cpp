@@ -48,4 +48,19 @@ std::array<uint8_t, 32> Transcript::ChallengeBytes(std::string_view label) {
   return digest;
 }
 
+std::vector<Scalar> Transcript::ChallengeWeights(std::string_view label,
+                                                size_t count) {
+  auto seed = ChallengeBytes(label);
+  Rng stream{BytesView(seed.data(), seed.size())};
+  std::vector<Scalar> weights;
+  weights.reserve(count);
+  std::array<uint8_t, 32> raw{};  // top 16 bytes stay zero: 128-bit values
+  for (size_t i = 0; i < count; i++) {
+    stream.Fill(raw.data() + 16, 16);
+    weights.push_back(
+        Scalar::FromBytesReduced(BytesView(raw.data(), raw.size())));
+  }
+  return weights;
+}
+
 }  // namespace atom

@@ -6,6 +6,7 @@
 #define SRC_CRYPTO_TRANSCRIPT_H_
 
 #include <string_view>
+#include <vector>
 
 #include "src/crypto/p256.h"
 #include "src/util/serde.h"
@@ -28,6 +29,15 @@ class Transcript {
 
   // Derives 32 challenge bytes (for seeding per-element challenge vectors).
   std::array<uint8_t, 32> ChallengeBytes(std::string_view label);
+
+  // Derives `count` independent 128-bit weights for a random-linear-
+  // combination batch check. Hashed from everything appended so far (the
+  // full statement and every proof), never drawn from a caller's Rng, so
+  // verification consumes no protocol randomness. If any combined equation
+  // fails, the weighted sum vanishes with probability <= 2^-128: fixing
+  // every other weight, at most one value of the failing equation's weight
+  // cancels it.
+  std::vector<Scalar> ChallengeWeights(std::string_view label, size_t count);
 
  private:
   ByteWriter buf_;

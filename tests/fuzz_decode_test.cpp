@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -28,6 +31,12 @@ namespace {
 
 using atom_test::SeedEcho;
 using atom_test::TestSeed;
+
+// Largest single heap allocation since the last reset (this binary
+// replaces the global operator new, below). A decoder that sizes a
+// container from an unchecked count shows up here even when the
+// allocation succeeds, which a ~100 MB one does outside sanitizers.
+std::atomic<size_t> g_largest_alloc{0};
 
 // One decoder under test: name for diagnostics, a pristine frame its
 // decoder accepts, and the decode entry point reduced to "did it parse".
@@ -238,6 +247,22 @@ TEST(FuzzDecode, InflatedLengthWordsAreRejectedWithoutBlowup) {
         EXPECT_FALSE(t.decode(BytesView(mutated))) << t.name << " @" << off;
       }
     }
+    // Counts at the decoders' fixed caps (2^16 components or proofs, 2^22
+    // batch vectors) pass the cap but not a check against the bytes left.
+    // Written at every byte offset, so each count field is hit whatever
+    // its alignment; no decode may allocate far beyond its frame.
+    for (uint32_t count : {1u << 16, 1u << 22}) {
+      for (size_t off = 0; off + 4 <= t.valid.size(); off++) {
+        Bytes mutated = t.valid;
+        for (int i = 0; i < 4; i++) {
+          mutated[off + i] = static_cast<uint8_t>(count >> (8 * i));
+        }
+        g_largest_alloc.store(0);
+        t.decode(BytesView(mutated));
+        EXPECT_LE(g_largest_alloc.load(), size_t{1} << 20)
+            << t.name << " @" << off << " count " << count;
+      }
+    }
   }
 }
 
@@ -314,3 +339,20 @@ TEST(FuzzDecode, EnvelopeBundleCountCapHolds) {
 
 }  // namespace
 }  // namespace atom
+
+void* operator new(std::size_t size) {
+  size_t prev = atom::g_largest_alloc.load(std::memory_order_relaxed);
+  while (size > prev && !atom::g_largest_alloc.compare_exchange_weak(
+                            prev, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression it treats as operator new's.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}

@@ -261,20 +261,81 @@ TEST(P256, DecodeRejectsNonResidueX) {
   FAIL() << "every small x decoded; decompression validity check is broken";
 }
 
+// The naive reference: one independent Point::Mul per term.
+Point NaiveMsm(const std::vector<Point>& points,
+               const std::vector<Scalar>& scalars) {
+  Point acc = Point::Infinity();
+  for (size_t i = 0; i < points.size(); i++) {
+    acc = acc + points[i].Mul(scalars[i]);
+  }
+  return acc;
+}
+
+// Sizes on both sides of every MultiScalarMul branch: tiny Straus batches,
+// the old naive/Pippenger boundaries (8, 32, 256), mix_nizk's shuffle
+// verification (44 terms) and the first Pippenger size.
+const std::vector<size_t>& MsmSizes() {
+  static const std::vector<size_t> sizes = {
+      0, 1, 2, 3, 7, 8, 31, 32, 44, 255, 256, kPippengerMinTerms};
+  return sizes;
+}
+
 TEST(P256, MsmMatchesNaive) {
   Rng rng(17u);
-  for (size_t n : {1u, 2u, 7u, 8u, 33u, 100u}) {
+  for (size_t n : MsmSizes()) {
     std::vector<Point> points;
     std::vector<Scalar> scalars;
-    Point expect = Point::Infinity();
     for (size_t i = 0; i < n; i++) {
-      Point p = Point::BaseMul(Scalar::Random(rng));
-      Scalar s = Scalar::Random(rng);
-      expect = expect + p.Mul(s);
-      points.push_back(p);
-      scalars.push_back(s);
+      points.push_back(Point::BaseMul(Scalar::Random(rng)));
+      scalars.push_back(Scalar::Random(rng));
     }
-    EXPECT_EQ(MultiScalarMul(points, scalars), expect) << "n=" << n;
+    EXPECT_EQ(MultiScalarMul(points, scalars), NaiveMsm(points, scalars))
+        << "n=" << n;
+  }
+}
+
+TEST(P256, MsmMatchesNaiveOnEdgeInputs) {
+  // Every term is one of: random; the identity point; a zero scalar; the
+  // scalar n-1 (= -1); a repeat of the previous term; or the previous
+  // term's point negated under the same scalar. The last two make the
+  // accumulator meet equal and opposite operands (the u1 == u2 doubling
+  // and identity branches of the group law) in mid-accumulation, in the
+  // Straus chain and in a Pippenger bucket alike. Rotating the pattern
+  // puts every kind first at least once for the small sizes.
+  Rng rng(19u);
+  const Scalar minus_one = Scalar::One().Neg();
+  for (size_t n : MsmSizes()) {
+    const size_t rotations = n <= 44 ? 6 : 1;
+    for (size_t rot = 0; rot < rotations; rot++) {
+      std::vector<Point> points;
+      std::vector<Scalar> scalars;
+      for (size_t i = 0; i < n; i++) {
+        Point p = Point::BaseMul(Scalar::Random(rng));
+        Scalar s = Scalar::Random(rng);
+        switch ((i + rot) % 6) {
+          case 1: p = Point::Infinity(); break;
+          case 2: s = Scalar::Zero(); break;
+          case 3: s = minus_one; break;
+          case 4:
+            if (i > 0) {
+              p = points[i - 1];
+              s = scalars[i - 1];
+            }
+            break;
+          case 5:
+            if (i > 0) {
+              p = points[i - 1].Neg();
+              s = scalars[i - 1];
+            }
+            break;
+          default: break;
+        }
+        points.push_back(p);
+        scalars.push_back(s);
+      }
+      EXPECT_EQ(MultiScalarMul(points, scalars), NaiveMsm(points, scalars))
+          << "n=" << n << " rotation=" << rot;
+    }
   }
 }
 

@@ -195,6 +195,104 @@ TEST(ShuffleProofSoundness, RejectsMutatedResponses) {
   }
 }
 
+// Every group element / response of a proof, in a fixed order.
+std::vector<Point*> ProofPoints(ShuffleProof& p) {
+  std::vector<Point*> out = {&p.t1, &p.t2, &p.t3};
+  for (auto* v : {&p.perm_commit, &p.chain_commit, &p.t4a, &p.t4b,
+                  &p.t_hat}) {
+    for (Point& q : *v) {
+      out.push_back(&q);
+    }
+  }
+  return out;
+}
+
+std::vector<Scalar*> ProofScalars(ShuffleProof& p) {
+  std::vector<Scalar*> out = {&p.s1, &p.s2, &p.s3};
+  for (auto* v : {&p.s4, &p.s_hat, &p.s_prime}) {
+    for (Scalar& k : *v) {
+      out.push_back(&k);
+    }
+  }
+  return out;
+}
+
+TEST(ShuffleProofSoundness, RejectsEverySingleFieldTamper) {
+  // One verification combines every relation into one weighted sum; a
+  // change to any single proof element or statement point must still
+  // break it.
+  Rng rng(410u);
+  auto kp = ElGamalKeyGen(rng);
+  auto batch = MakeBatch(kp.pk, 3, 2, rng);
+  auto result = ShuffleAndProve(kp.pk, batch, rng);
+  ASSERT_TRUE(VerifyShuffle(kp.pk, batch, result.output, result.proof));
+  const Point g = Point::Generator();
+  const size_t num_points = ProofPoints(result.proof).size();
+  for (size_t k = 0; k < num_points; k++) {
+    ShuffleProof evil = result.proof;
+    *ProofPoints(evil)[k] = *ProofPoints(evil)[k] + g;
+    EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil))
+        << "proof point " << k;
+  }
+  const size_t num_scalars = ProofScalars(result.proof).size();
+  for (size_t k = 0; k < num_scalars; k++) {
+    ShuffleProof evil = result.proof;
+    *ProofScalars(evil)[k] = *ProofScalars(evil)[k] + Scalar::One();
+    EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil))
+        << "proof scalar " << k;
+  }
+  for (size_t i = 0; i < 3; i++) {
+    for (size_t c = 0; c < 2; c++) {
+      for (bool in_output : {false, true}) {
+        for (bool r_part : {false, true}) {
+          CiphertextBatch in = batch, out = result.output;
+          ElGamalCiphertext& ct = in_output ? out[i][c] : in[i][c];
+          Point& part = r_part ? ct.r : ct.c;
+          part = part + g;
+          EXPECT_FALSE(VerifyShuffle(kp.pk, in, out, result.proof))
+              << (in_output ? "output[" : "input[") << i << "][" << c
+              << (r_part ? "].r" : "].c");
+        }
+      }
+    }
+  }
+  EXPECT_FALSE(VerifyShuffle(kp.pk + g, batch, result.output, result.proof));
+  // Reordering any per-message vector breaks its binding too.
+  for (auto v : {&ShuffleProof::perm_commit, &ShuffleProof::chain_commit,
+                 &ShuffleProof::t_hat}) {
+    ShuffleProof evil = result.proof;
+    std::swap((evil.*v)[0], (evil.*v)[1]);
+    EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil));
+  }
+  for (auto v : {&ShuffleProof::s_hat, &ShuffleProof::s_prime}) {
+    ShuffleProof evil = result.proof;
+    std::swap((evil.*v)[0], (evil.*v)[1]);
+    EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil));
+  }
+}
+
+TEST(ShuffleProofSoundness, RejectsEqualAndOppositeErrors) {
+  // Each pair below leaves the unweighted sum of the relations intact
+  // (±δ·G, or ±δ·G and ±δ·pk for s4), so only independent per-relation
+  // weights reject it.
+  Rng rng(411u);
+  auto kp = ElGamalKeyGen(rng);
+  auto batch = MakeBatch(kp.pk, 3, 2, rng);
+  auto result = ShuffleAndProve(kp.pk, batch, rng);
+  const Scalar delta = Scalar::Random(rng);
+  std::vector<std::pair<Scalar*, Scalar*>> pairs;
+  ShuffleProof evil[3] = {result.proof, result.proof, result.proof};
+  pairs.push_back({&evil[0].s1, &evil[0].s2});              // REL1 vs REL2
+  pairs.push_back({&evil[1].s_hat[0], &evil[1].s_hat[1]});  // chain steps
+  pairs.push_back({&evil[2].s4[0], &evil[2].s4[1]});        // REL4 components
+  for (size_t k = 0; k < pairs.size(); k++) {
+    *pairs[k].first = *pairs[k].first + delta;
+    *pairs[k].second = *pairs[k].second - delta;
+    EXPECT_FALSE(VerifyShuffle(kp.pk, batch, result.output, evil[k]))
+        << "pair " << k;
+  }
+}
+
 TEST(ShuffleProofSoundness, RejectsShapeMismatch) {
   Rng rng(406u);
   auto kp = ElGamalKeyGen(rng);
