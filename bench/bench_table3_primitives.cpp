@@ -10,7 +10,9 @@
 // and writes BENCH_bench_table3_primitives.json for CI artifact upload;
 // the full google-benchmark table is skipped. The hot-path section gates
 // (exit 1) on the shared-doubling MSM never losing to the naive sum of
-// Muls and on batched NIZK verification paying off (see MeasureNizk).
+// Muls, on batched NIZK verification paying off (see MeasureNizk), and on
+// encoding a decoded point being free next to a Jacobian one (see
+// MeasureIngress).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,6 +21,10 @@
 #include <functional>
 
 #include "bench/bench_common.h"
+#include "src/core/client.h"
+#include "src/core/wire.h"
+#include "src/crypto/dkg.h"
+#include "src/crypto/schnorr.h"
 #include "src/crypto/shuffle.h"
 #include "src/crypto/sigma.h"
 #include "src/crypto/transcript.h"
@@ -423,6 +429,88 @@ bool MeasureNizk(BenchJson& json, bool smoke) {
   return halves && beats_single;
 }
 
+// The entry tier's per-submission work at the `ingest` shape (160-byte trap
+// submissions, seven points per vector), interleaved so drift hits every
+// row alike:
+//   - Encode of a point decoded from the wire (affine at rest, no
+//     inversion) vs a Jacobian arithmetic result (one inversion), each
+//     timed over kEncodes points per sample,
+//   - VerifyTrapSubmission on a decoded submission (the gateway's check),
+//   - EncodeTrapSubmission and SchnorrSign + Encode (the client's cost).
+// Gate: a decoded point's Encode costs at most a tenth of a Jacobian one.
+bool MeasureIngress(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e6});
+  const Point entry_pk = RunDkg(DkgParams{3, 3}, rng).pub.group_pk;
+  const Point trustee_pk = RunDkg(DkgParams{3, 3}, rng).pub.group_pk;
+  const MessageLayout layout = LayoutFor(Variant::kTrap, 160);
+  const Bytes message = rng.NextBytes(160);
+  TrapSubmission submission = MakeTrapSubmission(
+      entry_pk, 1, trustee_pk, BytesView(message), layout, rng);
+  const Bytes wire = EncodeTrapSubmission(submission);
+  const TrapSubmission decoded = *DecodeTrapSubmission(BytesView(wire));
+  const SchnorrKeypair client = SchnorrKeyGen(rng);
+
+  constexpr size_t kEncodes = 64;
+  std::vector<Point> jacobian, from_wire;
+  for (size_t i = 0; i < kEncodes; i++) {
+    jacobian.push_back(Point::BaseMul(Scalar::Random(rng)));
+    from_wire.push_back(*Point::Decode(BytesView(jacobian.back().Encode())));
+  }
+
+  const int reps = smoke ? 9 : 31;
+  Spread enc_decoded, enc_jacobian, verify, encode_sub, sign;
+  bool verdicts = true;
+  for (int r = 0; r < reps; r++) {
+    enc_decoded.Time([&] {
+      for (const Point& p : from_wire) {
+        benchmark::DoNotOptimize(p.Encode());
+      }
+    });
+    enc_jacobian.Time([&] {
+      for (const Point& p : jacobian) {
+        benchmark::DoNotOptimize(p.Encode());
+      }
+    });
+    verify.Time(
+        [&] { verdicts &= VerifyTrapSubmission(entry_pk, decoded, layout); });
+    encode_sub.Time(
+        [&] { benchmark::DoNotOptimize(EncodeTrapSubmission(submission)); });
+    sign.Time([&] {
+      benchmark::DoNotOptimize(
+          SchnorrSign(client.sk, client.pk, BytesView(wire), rng).Encode());
+    });
+  }
+  ATOM_CHECK(verdicts);
+  const double per_encode = 1e6 / kEncodes;
+  const bool encode_ok = 10 * enc_decoded.Median() <= enc_jacobian.Median();
+  std::printf("Encode: decoded point %.2f us (IQR %.2f), Jacobian point "
+              "%.2f us (IQR %.2f) -> %.0fx%s\n",
+              per_encode * enc_decoded.Median(),
+              per_encode * enc_decoded.Iqr(),
+              per_encode * enc_jacobian.Median(),
+              per_encode * enc_jacobian.Iqr(),
+              enc_jacobian.Median() / enc_decoded.Median(),
+              encode_ok ? "" : "  FAIL: decoded Encode above 1/10");
+  std::printf("VerifyTrapSubmission (decoded, 160 B, %zu points/vector): "
+              "%.2f ms (IQR %.2f)\n",
+              layout.num_points, 1e3 * verify.Median(), 1e3 * verify.Iqr());
+  std::printf("EncodeTrapSubmission: %.0f us (IQR %.0f)\n",
+              1e6 * encode_sub.Median(), 1e6 * encode_sub.Iqr());
+  std::printf("SchnorrSign + Encode: %.0f us (IQR %.0f)\n",
+              1e6 * sign.Median(), 1e6 * sign.Iqr());
+  json.Num("encode_decoded_us", per_encode * enc_decoded.Median());
+  json.Num("encode_decoded_iqr_us", per_encode * enc_decoded.Iqr());
+  json.Num("encode_jacobian_us", per_encode * enc_jacobian.Median());
+  json.Num("encode_jacobian_iqr_us", per_encode * enc_jacobian.Iqr());
+  json.Num("verify_trap_submission_ms", 1e3 * verify.Median());
+  json.Num("verify_trap_submission_iqr_ms", 1e3 * verify.Iqr());
+  json.Num("encode_trap_submission_us", 1e6 * encode_sub.Median());
+  json.Num("encode_trap_submission_iqr_us", 1e6 * encode_sub.Iqr());
+  json.Num("schnorr_sign_encode_us", 1e6 * sign.Median());
+  json.Num("schnorr_sign_encode_iqr_us", 1e6 * sign.Iqr());
+  return encode_ok;
+}
+
 }  // namespace
 }  // namespace atom
 
@@ -447,6 +535,7 @@ int main(int argc, char** argv) {
     json.Bool("smoke", smoke);
     gates_ok &= MeasureHotPath(json, smoke);
     gates_ok &= MeasureNizk(json, smoke);
+    gates_ok &= MeasureIngress(json, smoke);
     json.Bool("gates_ok", gates_ok);
   }  // write the JSON before the (skippable) google-benchmark table
   if (!smoke) {

@@ -238,11 +238,10 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
 
 std::optional<std::vector<std::vector<Point>>> ExitPlaintexts(
     const CiphertextBatch& exit_batch) {
-  std::vector<std::vector<Point>> out;
-  out.reserve(exit_batch.size());
+  // Every plaintext point is read back through ExtractMessage: normalize
+  // the whole batch with one shared inversion so each read is free.
+  std::vector<Point> points;
   for (const auto& vec : exit_batch) {
-    std::vector<Point> points;
-    points.reserve(vec.size());
     for (const auto& ct : vec) {
       auto m = ElGamalDecrypt(Scalar::Zero(), ct);
       if (!m.has_value()) {
@@ -250,7 +249,14 @@ std::optional<std::vector<std::vector<Point>>> ExitPlaintexts(
       }
       points.push_back(*m);
     }
-    out.push_back(std::move(points));
+  }
+  Point::NormalizeBatch(points);
+  std::vector<std::vector<Point>> out;
+  out.reserve(exit_batch.size());
+  auto next = points.begin();
+  for (const auto& vec : exit_batch) {
+    out.emplace_back(next, next + static_cast<ptrdiff_t>(vec.size()));
+    next += static_cast<ptrdiff_t>(vec.size());
   }
   return out;
 }

@@ -34,9 +34,20 @@ bool GetCiphertextVec(ByteReader& r, ElGamalCiphertextVec* out) {
 }
 
 void PutProofs(ByteWriter& w, const std::vector<EncProof>& proofs) {
-  w.U32(static_cast<uint32_t>(proofs.size()));
+  // Same byte layout as per-proof EncProof::Encode, with every commitment
+  // encoded through one EncodePoints (one inversion for the whole run).
+  std::vector<Point> commits;
+  commits.reserve(proofs.size());
   for (const auto& proof : proofs) {
-    w.Raw(BytesView(proof.Encode()));
+    commits.push_back(proof.commit);
+  }
+  const Bytes encoded = EncodePoints(commits);
+  w.U32(static_cast<uint32_t>(proofs.size()));
+  for (size_t i = 0; i < proofs.size(); i++) {
+    w.Raw(BytesView(encoded).subspan(i * Point::kEncodedSize,
+                                     Point::kEncodedSize));
+    auto u = proofs[i].u.ToBytes();
+    w.Raw(BytesView(u.data(), u.size()));
   }
 }
 

@@ -80,6 +80,9 @@ DkgResult AggregateDkg(const DkgParams& params,
   // An anytrust group always contains at least one honest dealer, so at
   // least one dealing must survive.
   ATOM_CHECK_MSG(qualified > 0, "all DKG dealings disqualified");
+  // Affine at rest: group and trustee keys are encoded into every proof
+  // transcript and wire spec for the group's lifetime.
+  Point::NormalizeBatch(std::span<Point>(&result.pub.group_pk, 1));
   return result;
 }
 

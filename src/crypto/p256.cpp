@@ -340,19 +340,21 @@ Point Point::AddMixed(const Point& jacobian, const Point& affine) {
   return out;
 }
 
+bool Point::IsAffine() const { return z_ == FieldP().one(); }
+
 void Point::NormalizeBatch(std::span<Point> points) {
   const Mont& fp = FieldP();
   std::vector<U256> zs;
   zs.reserve(points.size());
   for (const Point& p : points) {
-    if (!p.IsInfinity()) {
+    if (!p.IsInfinity() && !p.IsAffine()) {
       zs.push_back(p.z_);
     }
   }
   fp.BatchInv(zs);
   size_t j = 0;
   for (Point& p : points) {
-    if (p.IsInfinity()) {
+    if (p.IsInfinity() || p.IsAffine()) {
       continue;
     }
     const U256& zinv = zs[j++];
@@ -407,6 +409,11 @@ Point Point::BaseMul(const Scalar& k) { return GeneratorTable().Mul(k); }
 void Point::ToAffine(U256* out_x, U256* out_y) const {
   ATOM_CHECK(!IsInfinity());
   const Mont& fp = FieldP();
+  if (IsAffine()) {
+    *out_x = fp.FromMont(x_);
+    *out_y = fp.FromMont(y_);
+    return;
+  }
   U256 zinv = fp.Inv(z_);
   U256 zinv2 = fp.Mul(zinv, zinv);
   U256 zinv3 = fp.Mul(zinv2, zinv);

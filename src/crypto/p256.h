@@ -14,9 +14,13 @@
 //     Jacobian add), and Mul needs no doublings at all. Point::Mul rebuilds
 //     a 15-entry table per call — build a FixedBaseTable whenever the same
 //     base is multiplied more than ~10 times.
+//   - Affine at rest: a point with z == 1 (decoded from the wire, built
+//     from affine coordinates, or passed through Point::NormalizeBatch)
+//     encodes with no inversion at all.
 //   - Point::BatchToAffine / EncodePoints: batch affine normalization and
 //     SEC1 encoding with ONE field inversion per batch (Montgomery's
-//     trick) instead of one ~256-bit exponentiation per point.
+//     trick) instead of one ~256-bit exponentiation per point; affine
+//     points in the batch cost nothing.
 //   - MultiScalarMul: one doubling chain shared by every term, so a
 //     k-term linear combination costs ~one Mul plus k short add streams
 //     instead of k Muls. The NIZK verifiers fold each proof's equations
@@ -101,8 +105,22 @@ class Point {
 
   bool operator==(const Point& o) const;
 
-  // Affine coordinates in plain form; must not be the identity.
+  // True when z == 1 (Montgomery one): the stored x, y are the affine
+  // coordinates. Decode, FromAffine, the generator, FixedBaseTable entries
+  // and NormalizeBatch outputs are affine; arithmetic results generally are
+  // not. A property of the representation only, never of a secret.
+  bool IsAffine() const;
+
+  // Affine coordinates in plain form; must not be the identity. Free for an
+  // affine point, one field inversion otherwise.
   void ToAffine(U256* out_x, U256* out_y) const;
+
+  // Rescales every non-identity point to z == 1 in place, sharing one field
+  // inversion across the batch (Montgomery's trick); points that are
+  // already affine are left out of it. Use it on long-lived points that are
+  // encoded or extracted repeatedly (group keys, signature commitments,
+  // exit plaintexts) so every later Encode/ToAffine is free.
+  static void NormalizeBatch(std::span<Point> points);
 
   // Batch affine normalization via Montgomery's trick: one field inversion
   // for the whole batch, bitwise identical results to per-point ToAffine.
@@ -138,10 +156,6 @@ class Point {
   // satisfy this by construction (NormalizeBatch).
   static Point AddMixed(const Point& jacobian, const Point& affine);
 
-  // Rescales every non-identity point to z == 1 in place, sharing one field
-  // inversion across the batch (Montgomery's trick).
-  static void NormalizeBatch(std::span<Point> points);
-
   U256 x_, y_, z_;
 };
 
@@ -171,7 +185,7 @@ class FixedBaseTable {
 
 // Concatenated 33-byte encodings of `points` — byte-identical to calling
 // Encode() per point, but pays one field inversion for the whole batch
-// instead of one per point.
+// instead of one per non-affine point (none if every point is affine).
 Bytes EncodePoints(std::span<const Point> points);
 
 // Sum of scalars[i] * points[i]. Below kPippengerMinTerms terms this is an

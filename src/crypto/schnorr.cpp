@@ -19,6 +19,8 @@ SchnorrKeypair SchnorrKeyGen(Rng& rng) {
   SchnorrKeypair kp;
   kp.sk = Scalar::Random(rng);
   kp.pk = Point::BaseMul(kp.sk);
+  // Affine at rest: every signature and registration re-encodes the key.
+  Point::NormalizeBatch(std::span<Point>(&kp.pk, 1));
   return kp;
 }
 
@@ -46,6 +48,8 @@ SchnorrSignature SchnorrSign(const Scalar& sk, const Point& pk,
   Scalar k = Scalar::Random(rng);
   SchnorrSignature sig;
   sig.commit = Point::BaseMul(k);
+  // One inversion here makes the challenge's and Encode's encodings free.
+  Point::NormalizeBatch(std::span<Point>(&sig.commit, 1));
   Scalar e = Challenge(sig.commit, pk, message);
   sig.response = k + e * sk;
   return sig;

@@ -6,15 +6,35 @@
 namespace atom {
 namespace {
 
-Scalar EncChallenge(const Point& pk, uint32_t gid, const ElGamalCiphertext& ct,
-                    const Point& commit) {
+// The 33-byte encoding of point `slot` in an EncodePoints buffer.
+BytesView EncodedSlot(BytesView encoded, size_t slot) {
+  return encoded.subspan(slot * Point::kEncodedSize, Point::kEncodedSize);
+}
+
+// An EncProof challenge hashes the key, the gid and then these four points
+// of its proof, in this order (labels below). Callers encode [pk, then four
+// points per proof] with ONE EncodePoints call and each challenge reads its
+// slice, as ReEncChallenge does; the transcript bytes equal per-point
+// AppendPoint.
+constexpr size_t kEncPoints = 4;
+constexpr const char* kEncLabels[kEncPoints] = {"ct.r", "ct.c", "ct.y",
+                                                "commit"};
+
+void AppendEncPoints(const ElGamalCiphertext& ct, const Point& commit,
+                     std::vector<Point>* points) {
+  points->insert(points->end(), {ct.r, ct.c, ct.y, commit});
+}
+
+// `encoded` is the EncodePoints output described above; `index` picks the
+// proof.
+Scalar EncChallenge(BytesView encoded, uint32_t gid, size_t index) {
   Transcript t("atom/enc-proof/v1");
-  t.AppendPoint("pk", pk);
+  t.AppendBytes("pk", EncodedSlot(encoded, 0));
   t.AppendU64("gid", gid);
-  t.AppendPoint("ct.r", ct.r);
-  t.AppendPoint("ct.c", ct.c);
-  t.AppendPoint("ct.y", ct.y);
-  t.AppendPoint("commit", commit);
+  for (size_t j = 0; j < kEncPoints; j++) {
+    t.AppendBytes(kEncLabels[j],
+                  EncodedSlot(encoded, 1 + index * kEncPoints + j));
+  }
   return t.ChallengeScalar("t");
 }
 
@@ -48,15 +68,13 @@ void AppendReEncPoints(const ElGamalCiphertext& in,
 Scalar ReEncChallenge(BytesView encoded, bool has_next, size_t index) {
   static constexpr const char* kLabels[kReEncPoints] = {
       "in.r", "in.c", "in.y", "out.r", "out.c", "out.y", "a1", "a2", "a3"};
-  auto point = [&encoded](size_t slot) {
-    return encoded.subspan(slot * Point::kEncodedSize, Point::kEncodedSize);
-  };
   Transcript t("atom/reenc-proof/v1");
-  t.AppendBytes("server_pk", point(0));
-  t.AppendBytes("next_pk", point(1));
+  t.AppendBytes("server_pk", EncodedSlot(encoded, 0));
+  t.AppendBytes("next_pk", EncodedSlot(encoded, 1));
   t.AppendU64("has_next", has_next ? 1 : 0);
   for (size_t j = 0; j < kReEncPoints; j++) {
-    t.AppendBytes(kLabels[j], point(2 + index * kReEncPoints + j));
+    t.AppendBytes(kLabels[j],
+                  EncodedSlot(encoded, 2 + index * kReEncPoints + j));
   }
   return t.ChallengeScalar("e");
 }
@@ -87,12 +105,8 @@ std::optional<EncProof> EncProof::Decode(BytesView bytes) {
 EncProof MakeEncProof(const Point& pk, uint32_t gid,
                       const ElGamalCiphertext& ct, const Scalar& randomness,
                       Rng& rng) {
-  Scalar s = Scalar::Random(rng);
-  EncProof proof;
-  proof.commit = Point::BaseMul(s);
-  Scalar t = EncChallenge(pk, gid, ct, proof.commit);
-  proof.u = s + t * randomness;
-  return proof;
+  return MakeEncProofVec(pk, gid, ElGamalCiphertextVec{ct},
+                         std::span<const Scalar>(&randomness, 1), rng)[0];
 }
 
 bool VerifyEncProof(const Point& pk, uint32_t gid,
@@ -106,10 +120,22 @@ std::vector<EncProof> MakeEncProofVec(const Point& pk, uint32_t gid,
                                       std::span<const Scalar> randomness,
                                       Rng& rng) {
   ATOM_CHECK(cts.size() == randomness.size());
-  std::vector<EncProof> out;
-  out.reserve(cts.size());
+  // One nonce per proof, drawn in proof order; then every commitment goes
+  // through one EncodePoints with the statement before any challenge.
+  std::vector<Scalar> nonces;
+  nonces.reserve(cts.size());
+  std::vector<EncProof> out(cts.size());
+  std::vector<Point> transcript = {pk};
+  transcript.reserve(1 + cts.size() * kEncPoints);
   for (size_t i = 0; i < cts.size(); i++) {
-    out.push_back(MakeEncProof(pk, gid, cts[i], randomness[i], rng));
+    nonces.push_back(Scalar::Random(rng));
+    out[i].commit = Point::BaseMul(nonces[i]);
+    AppendEncPoints(cts[i], out[i].commit, &transcript);
+  }
+  const Bytes encoded = EncodePoints(transcript);
+  for (size_t i = 0; i < cts.size(); i++) {
+    const Scalar t = EncChallenge(BytesView(encoded), gid, i);
+    out[i].u = nonces[i] + t * randomness[i];
   }
   return out;
 }
@@ -130,15 +156,21 @@ bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
     return false;
   }
   const size_t n = cts.size();
+  std::vector<Point> transcript = {pk};
+  transcript.reserve(1 + n * kEncPoints);
+  for (size_t i = 0; i < n; i++) {
+    AppendEncPoints(cts[i], proofs[i].commit, &transcript);
+  }
+  const Bytes encoded = EncodePoints(transcript);
 
   Transcript t("atom/enc-proof-batch/v1");
-  t.AppendPoint("pk", pk);
+  t.AppendBytes("pk", EncodedSlot(BytesView(encoded), 0));
   t.AppendU64("gid", gid);
   for (size_t i = 0; i < n; i++) {
-    t.AppendPoint("ct.r", cts[i].r);
-    t.AppendPoint("ct.c", cts[i].c);
-    t.AppendPoint("ct.y", cts[i].y);
-    t.AppendPoint("commit", proofs[i].commit);
+    for (size_t j = 0; j < kEncPoints; j++) {
+      t.AppendBytes(kEncLabels[j],
+                    EncodedSlot(BytesView(encoded), 1 + i * kEncPoints + j));
+    }
     t.AppendScalar("u", proofs[i].u);
   }
   std::vector<Scalar> gamma = t.ChallengeWeights("gamma", n);
@@ -151,7 +183,7 @@ bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
   points.reserve(2 * n + 1);
   scalars.reserve(2 * n + 1);
   for (size_t i = 0; i < n; i++) {
-    Scalar challenge = EncChallenge(pk, gid, cts[i], proofs[i].commit);
+    Scalar challenge = EncChallenge(BytesView(encoded), gid, i);
     g_scalar = g_scalar + gamma[i] * proofs[i].u;
     points.push_back(proofs[i].commit);
     scalars.push_back(gamma[i].Neg());

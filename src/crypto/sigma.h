@@ -43,7 +43,8 @@ struct EncProof {
   static std::optional<EncProof> Decode(BytesView bytes);
 };
 
-// Proves knowledge of r with ct.r = r*G, binding (pk, gid, ct).
+// Proves knowledge of r with ct.r = r*G, binding (pk, gid, ct). A vector
+// of one (MakeEncProofVec).
 EncProof MakeEncProof(const Point& pk, uint32_t gid,
                       const ElGamalCiphertext& ct, const Scalar& randomness,
                       Rng& rng);
@@ -52,7 +53,9 @@ EncProof MakeEncProof(const Point& pk, uint32_t gid,
 bool VerifyEncProof(const Point& pk, uint32_t gid,
                     const ElGamalCiphertext& ct, const EncProof& proof);
 
-// Per-component proofs for a vector ciphertext.
+// Per-component proofs for a vector ciphertext: one nonce drawn from `rng`
+// per proof, in order, and every challenge read from one EncodePoints of
+// [pk, then ct.r, ct.c, ct.y, commit per proof].
 std::vector<EncProof> MakeEncProofVec(const Point& pk, uint32_t gid,
                                       const ElGamalCiphertextVec& cts,
                                       std::span<const Scalar> randomness,
@@ -65,7 +68,10 @@ bool VerifyEncProofVec(const Point& pk, uint32_t gid,
 
 // Batch verification with the small-exponent random-linear-combination
 // test: one MultiScalarMul of 2N + 1 terms instead of 2N scalar
-// multiplications. Rejects an empty batch or mismatched counts.
+// multiplications, and one EncodePoints for the batch transcript and every
+// per-proof challenge (no inversion at all when every point is affine, as
+// decoded submissions and normalized keys are). Rejects an empty batch or
+// mismatched counts.
 bool VerifyEncProofBatch(const Point& pk, uint32_t gid,
                          const ElGamalCiphertextVec& cts,
                          std::span<const EncProof> proofs);

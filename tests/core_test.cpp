@@ -9,7 +9,10 @@
 #include <thread>
 
 #include "src/core/round.h"
+#include "src/core/wire.h"
 #include "src/crypto/kem.h"
+#include "src/crypto/schnorr.h"
+#include "src/crypto/sha256.h"
 #include "src/util/hex.h"
 #include "src/util/rng.h"
 
@@ -164,6 +167,123 @@ TEST(Client, TrapOrderIsRandomized) {
   }
   EXPECT_GT(first_is_trap, 5);
   EXPECT_LT(first_is_trap, 35);
+}
+
+// --------------------------------------------------- pinned wire bytes --
+
+// SHA-256 hex of `bytes`. The digests below were recorded with every point
+// encoded one at a time from Jacobian form; they pin that the wire bytes,
+// the Fiat-Shamir transcripts behind every proof, and the Rng draw order do
+// not depend on whether points are affine at rest or encoded in batches.
+std::string DigestHex(BytesView bytes) {
+  auto digest = Sha256::Hash(bytes);
+  return HexEncode(BytesView(digest.data(), digest.size()));
+}
+
+// A DKG group key (normalized when built) and an ElGamal key (a Jacobian
+// BaseMul result): encodings and transcripts must not depend on which.
+struct PinnedFixture {
+  Rng rng{uint64_t{1515}};
+  GroupRuntime group{3, RunDkg(DkgParams{3, 3}, rng)};
+  ElGamalKeypair trustee = ElGamalKeyGen(rng);
+};
+
+TEST(PinnedBytes, TrapSubmissionWireBytes) {
+  PinnedFixture f;
+  auto layout = LayoutFor(Variant::kTrap, 160);
+  auto sub = MakeTrapSubmission(f.group.pk(), 3, f.trustee.pk,
+                                BytesView(ToBytes("pinned trap")), layout,
+                                f.rng);
+  sub.client_id = 77;
+  EXPECT_EQ(DigestHex(BytesView(EncodeTrapSubmission(sub))),
+            "83d1565be12d0bd74ca678e9a4052e4e"
+            "c19f6c46f00c4d466b4d8742536ddbf4");
+  EXPECT_EQ(DigestHex(BytesView(f.rng.NextBytes(32))),
+            "1476540be9252fa97d838efcf9876a32"
+            "86782fe1230a4c6edafec9690f538a0d");
+}
+
+TEST(PinnedBytes, NizkSubmissionWireBytes) {
+  PinnedFixture f;
+  auto layout = LayoutFor(Variant::kNizk, 80);
+  auto sub = MakeNizkSubmission(f.trustee.pk, 9,
+                                BytesView(ToBytes("pinned nizk")), layout,
+                                f.rng);
+  sub.client_id = 78;
+  EXPECT_EQ(DigestHex(BytesView(EncodeNizkSubmission(sub))),
+            "192ce5200aa6233c8752c85ff2e85f50"
+            "e8518c5a8532f46a9288e08a7e2b6b1d");
+  EXPECT_EQ(DigestHex(BytesView(f.rng.NextBytes(32))),
+            "d63568c515b82cb4eccfe2f36c482e3a"
+            "8049fb4264ef2235386cb4324a6c0a78");
+}
+
+TEST(PinnedBytes, EncProofVecTranscript) {
+  PinnedFixture f;
+  std::vector<Point> points;
+  for (uint8_t i = 0; i < 5; i++) {
+    points.push_back(*EmbedMessage(BytesView(Bytes{i, 0xa5})));
+  }
+  std::vector<Scalar> randomness;
+  auto cts = ElGamalEncryptVec(f.group.pk(), points, f.rng, &randomness);
+  auto proofs = MakeEncProofVec(f.group.pk(), 3, cts, randomness, f.rng);
+  Bytes all;
+  for (const EncProof& proof : proofs) {
+    Bytes enc = proof.Encode();
+    all.insert(all.end(), enc.begin(), enc.end());
+  }
+  EXPECT_EQ(DigestHex(BytesView(all)),
+            "ef27a02c0663be821262c336336f0175"
+            "f4c543f12d7719c6a24356e5504fbdb5");
+  EXPECT_EQ(DigestHex(BytesView(f.rng.NextBytes(32))),
+            "1b0f59773a6161a71a09805fc1d5c916"
+            "4a088f8aeb24266a770b13c9d08acded");
+  EXPECT_TRUE(VerifyEncProofBatch(f.group.pk(), 3, cts, proofs));
+}
+
+TEST(PinnedBytes, SchnorrSignatureBytes) {
+  Rng rng(uint64_t{1516});
+  SchnorrKeypair kp = SchnorrKeyGen(rng);
+  SchnorrSignature sig =
+      SchnorrSign(kp.sk, kp.pk, BytesView(ToBytes("pinned sig")), rng);
+  Bytes both = kp.pk.Encode();
+  Bytes enc = sig.Encode();
+  both.insert(both.end(), enc.begin(), enc.end());
+  EXPECT_EQ(DigestHex(BytesView(both)),
+            "932f5b87b1102bdc225b1b56a6d6a783"
+            "6ccafa88854d1c6f54423872389f27ce");
+  EXPECT_EQ(DigestHex(BytesView(rng.NextBytes(32))),
+            "74b7897b73b3a79c0eccb5bf2cfb0b1a"
+            "6cae717fadf91d3860f812075d26e9af");
+  EXPECT_TRUE(SchnorrVerify(kp.pk, BytesView(ToBytes("pinned sig")), sig));
+}
+
+TEST(PinnedBytes, PerProofEncProofsVerifyAsOneBatch) {
+  PinnedFixture f;
+  ElGamalCiphertextVec cts;
+  std::vector<EncProof> proofs;
+  for (uint8_t i = 0; i < 4; i++) {
+    Scalar r;
+    cts.push_back(ElGamalEncrypt(
+        f.group.pk(), *EmbedMessage(BytesView(Bytes{i})), f.rng, &r));
+    proofs.push_back(MakeEncProof(f.group.pk(), 3, cts.back(), r, f.rng));
+  }
+  EXPECT_TRUE(VerifyEncProofBatch(f.group.pk(), 3, cts, proofs));
+  // Checked under the wrong entry group or the wrong key, the batch fails.
+  EXPECT_FALSE(VerifyEncProofBatch(f.group.pk(), 4, cts, proofs));
+  EXPECT_FALSE(VerifyEncProofBatch(f.trustee.pk, 3, cts, proofs));
+  // The same statement round-tripped through the wire (every point now
+  // decoded, so affine at rest) verifies identically.
+  NizkSubmission sub;
+  sub.entry_gid = 3;
+  sub.ciphertext = cts;
+  sub.proofs = proofs;
+  auto decoded = DecodeNizkSubmission(BytesView(EncodeNizkSubmission(sub)));
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(VerifyEncProofBatch(f.group.pk(), 3, decoded->ciphertext,
+                                  decoded->proofs));
+  EXPECT_FALSE(VerifyEncProofBatch(f.group.pk(), 2, decoded->ciphertext,
+                                   decoded->proofs));
 }
 
 // ------------------------------------------------------------ group hop --

@@ -2,6 +2,7 @@
 // group-law properties, MSM, encoding, hash-to-point, message embedding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/crypto/mont.h"
@@ -543,6 +544,173 @@ TEST(BatchAffine, EncodePointsMatchesLoopedEncode) {
                                                       Point::kEncodedSize)));
   }
   EXPECT_TRUE(EncodePoints(std::vector<Point>{}).empty());
+}
+
+// ---------------------------------------------------- affine fast path --
+
+// The same group element as `p` held in Jacobian form (z != 1), so ToAffine
+// and Encode on it take the inversion path.
+Point JacobianTwin(const Point& p, Rng& rng) {
+  if (p.IsInfinity()) {
+    return p;
+  }
+  const Point q = Point::BaseMul(Scalar::Random(rng));
+  Point twin = (p + q) - q;
+  EXPECT_FALSE(twin.IsAffine());
+  EXPECT_TRUE(twin == p);
+  return twin;
+}
+
+// Affine-at-rest points of every origin: decoded from the wire, built from
+// affine coordinates, the generator, embedded and hashed points, and
+// arithmetic results after NormalizeBatch.
+std::vector<Point> AffineCorpus(Rng& rng) {
+  std::vector<Point> out;
+  for (int i = 0; i < 3; i++) {
+    Bytes enc = Point::BaseMul(Scalar::Random(rng)).Encode();
+    out.push_back(*Point::Decode(BytesView(enc)));
+  }
+  U256 x, y;
+  (Point::BaseMul(Scalar::Random(rng)).Double()).ToAffine(&x, &y);
+  out.push_back(*Point::FromAffine(x, y));
+  out.push_back(Point::Generator());
+  out.push_back(*EmbedMessage(BytesView(ToBytes("fast path"))));
+  out.push_back(HashToPoint(BytesView(ToBytes("fast path"))));
+  std::vector<Point> computed = {
+      Point::BaseMul(Scalar::Random(rng)) + Point::BaseMul(Scalar::Random(rng)),
+      Point::Generator().Mul(Scalar::Random(rng)).Double()};
+  Point::NormalizeBatch(computed);
+  out.insert(out.end(), computed.begin(), computed.end());
+  for (const Point& p : out) {
+    EXPECT_TRUE(p.IsAffine());
+  }
+  return out;
+}
+
+// Jacobian arithmetic results (z != 1).
+std::vector<Point> JacobianCorpus(Rng& rng) {
+  std::vector<Point> out = {
+      Point::BaseMul(Scalar::Random(rng)),
+      Point::BaseMul(Scalar::Random(rng)) + Point::Generator(),
+      Point::Generator().Double(),
+      Point::Generator().Mul(Scalar::Random(rng)),
+      Point::BaseMul(Scalar::Random(rng)) -
+          Point::BaseMul(Scalar::Random(rng))};
+  for (const Point& p : out) {
+    EXPECT_FALSE(p.IsAffine());
+  }
+  return out;
+}
+
+TEST(AffineFastPath, AffinePointsEncodeLikeTheirJacobianTwins) {
+  Rng rng(49u);
+  for (const Point& p : AffineCorpus(rng)) {
+    const Point twin = JacobianTwin(p, rng);
+    U256 fx, fy, sx, sy;
+    p.ToAffine(&fx, &fy);
+    twin.ToAffine(&sx, &sy);
+    EXPECT_EQ(fx, sx);
+    EXPECT_EQ(fy, sy);
+    const Bytes enc = p.Encode();
+    EXPECT_EQ(enc, twin.Encode());
+    // Decoding the encoding gives back an affine point with the same bytes.
+    auto back = Point::Decode(BytesView(enc));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(back->IsAffine());
+    EXPECT_EQ(back->Encode(), enc);
+  }
+  // Generator and FromAffine hand back exactly the coordinates they hold.
+  U256 gx, gy;
+  Point::Generator().ToAffine(&gx, &gy);
+  EXPECT_EQ(gx, P256Gx());
+  EXPECT_EQ(gy, P256Gy());
+}
+
+TEST(AffineFastPath, NormalizeBatchKeepsEveryEncoding) {
+  Rng rng(50u);
+  std::vector<Point> jacobian = JacobianCorpus(rng);
+  jacobian.insert(jacobian.begin() + 2, Point::Infinity());
+  std::vector<Point> normalized = jacobian;
+  Point::NormalizeBatch(normalized);
+  for (size_t i = 0; i < jacobian.size(); i++) {
+    EXPECT_EQ(normalized[i].IsInfinity(), jacobian[i].IsInfinity());
+    EXPECT_EQ(normalized[i].IsAffine(), !jacobian[i].IsInfinity());
+    EXPECT_TRUE(normalized[i] == jacobian[i]);
+    EXPECT_EQ(normalized[i].Encode(), jacobian[i].Encode());
+    if (!jacobian[i].IsInfinity()) {
+      U256 fx, fy, sx, sy;
+      normalized[i].ToAffine(&fx, &fy);
+      jacobian[i].ToAffine(&sx, &sy);
+      EXPECT_EQ(fx, sx);
+      EXPECT_EQ(fy, sy);
+    }
+  }
+  // Normalizing again, or normalizing affine and identity points, changes
+  // nothing.
+  std::vector<Point> again = normalized;
+  Point::NormalizeBatch(again);
+  EXPECT_EQ(EncodePoints(again), EncodePoints(normalized));
+  std::vector<Point> affine = AffineCorpus(rng);
+  std::vector<Point> affine_again = affine;
+  Point::NormalizeBatch(affine_again);
+  EXPECT_EQ(EncodePoints(affine_again), EncodePoints(affine));
+  std::vector<Point> identities(3);
+  Point::NormalizeBatch(identities);
+  for (const Point& p : identities) {
+    EXPECT_TRUE(p.IsInfinity());
+  }
+}
+
+TEST(AffineFastPath, MixedBatchesMatchPerPointSlowPath) {
+  Rng rng(51u);
+  std::vector<Point> affine = AffineCorpus(rng);
+  std::vector<Point> jacobian = JacobianCorpus(rng);
+  // Interleave affine, Jacobian and identity points.
+  std::vector<Point> mixed;
+  for (size_t i = 0; i < std::max(affine.size(), jacobian.size()); i++) {
+    if (i < affine.size()) {
+      mixed.push_back(affine[i]);
+    }
+    if (i % 3 == 1) {
+      mixed.push_back(Point::Infinity());
+    }
+    if (i < jacobian.size()) {
+      mixed.push_back(jacobian[i]);
+    }
+  }
+  const std::vector<std::vector<Point>> batches = {
+      mixed, affine, jacobian, std::vector<Point>(4), {Point::Generator()},
+      {Point::Infinity(), affine[0]}};
+  for (const auto& batch : batches) {
+    // Reference: every point through the per-point inversion path.
+    std::vector<Point> twins;
+    Bytes want;
+    for (const Point& p : batch) {
+      twins.push_back(JacobianTwin(p, rng));
+      Bytes enc = twins.back().Encode();
+      want.insert(want.end(), enc.begin(), enc.end());
+    }
+    EXPECT_EQ(EncodePoints(batch), want);
+    EXPECT_EQ(EncodePoints(twins), want);
+    Bytes looped;
+    for (const Point& p : batch) {
+      Bytes enc = p.Encode();
+      looped.insert(looped.end(), enc.begin(), enc.end());
+    }
+    EXPECT_EQ(looped, want);
+    auto got = Point::BatchToAffine(batch);
+    ASSERT_EQ(got.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); i++) {
+      EXPECT_EQ(got[i].infinity, batch[i].IsInfinity());
+      if (batch[i].IsInfinity()) {
+        continue;
+      }
+      U256 x, y;
+      twins[i].ToAffine(&x, &y);
+      EXPECT_EQ(got[i].x, x);
+      EXPECT_EQ(got[i].y, y);
+    }
+  }
 }
 
 TEST(Mont, BatchInvMatchesInv) {
