@@ -9,10 +9,11 @@
 // --smoke runs only the hand-timed hot-path section (small rep counts)
 // and writes BENCH_bench_table3_primitives.json for CI artifact upload;
 // the full google-benchmark table is skipped. The hot-path section gates
-// (exit 1) on the shared-doubling MSM never losing to the naive sum of
-// Muls, on batched NIZK verification paying off (see MeasureNizk), and on
-// encoding a decoded point being free next to a Jacobian one (see
-// MeasureIngress).
+// (exit 1) on the p-specialized field paths and the signed-window tables
+// paying off (see MeasureField), on the shared-doubling MSM never losing to
+// the naive sum of Muls, on batched NIZK verification paying off (see
+// MeasureNizk), and on encoding a decoded point being free next to a
+// Jacobian one (see MeasureIngress).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -193,6 +194,164 @@ struct Spread {
     samples.push_back(SecondsSince(t0));
   }
 };
+
+// The arithmetic floor under every row below, interleaved so drift hits
+// every row alike:
+//   - FieldP()'s p-specialized Mul vs a generic Mont over the same prime,
+//   - BaseMul (w = 7 generator table) vs a key FixedBaseTable's Mul (w = 5)
+//     vs the generic variable-base Point::Mul,
+//   - FieldP().Inv (fixed addition chain) vs Pow over p - 2,
+//   - Point::Decode (its square root is the (p + 1) / 4 chain).
+// Gates: the specialized Mul's median is at most the generic median plus
+// the generic IQR; BaseMul's median is at most the key table's; the chain
+// Inv costs at most 0.8x Pow.
+bool MeasureField(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e7});
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  U256 p_minus_2;
+  U256Sub(&p_minus_2, P256Prime(), U256::FromU64(2));
+
+  constexpr size_t kMuls = 20000;  // dependent field muls per sample
+  constexpr size_t kOps = 64;      // point ops / inversions per sample
+  const U256 y = fp.ToMont(Scalar::Random(rng).PlainValue());
+  U256 x_spec = fp.ToMont(Scalar::Random(rng).PlainValue());
+  U256 x_gen = x_spec;
+  const Point key = Point::BaseMul(Scalar::Random(rng));
+  const FixedBaseTable key_table(key);
+  std::vector<Scalar> ks;
+  std::vector<U256> inv_in;
+  std::vector<Bytes> encoded;
+  for (size_t i = 0; i < kOps; i++) {
+    ks.push_back(Scalar::Random(rng));
+    inv_in.push_back(fp.ToMont(Scalar::Random(rng).PlainValue()));
+    encoded.push_back(Point::BaseMul(ks.back()).Encode());
+  }
+
+  const int reps = smoke ? 21 : 61;
+  Spread mul_spec, mul_gen, base_mul, table_mul, var_mul, inv_chain, inv_pow,
+      decode;
+  bool agree = true;
+  const std::vector<std::function<void()>> rows = {
+      [&] {
+        mul_spec.Time([&] {
+          for (size_t i = 0; i < kMuls; i++) {
+            x_spec = fp.Mul(x_spec, y);
+          }
+        });
+      },
+      [&] {
+        mul_gen.Time([&] {
+          for (size_t i = 0; i < kMuls; i++) {
+            x_gen = generic.Mul(x_gen, y);
+          }
+        });
+      },
+      [&] {
+        base_mul.Time([&] {
+          for (const Scalar& k : ks) {
+            benchmark::DoNotOptimize(Point::BaseMul(k));
+          }
+        });
+      },
+      [&] {
+        table_mul.Time([&] {
+          for (const Scalar& k : ks) {
+            benchmark::DoNotOptimize(key_table.Mul(k));
+          }
+        });
+      },
+      [&] {
+        var_mul.Time([&] {
+          for (size_t i = 0; i < kOps / 4; i++) {
+            benchmark::DoNotOptimize(key.Mul(ks[i]));
+          }
+        });
+      },
+      [&] {
+        inv_chain.Time([&] {
+          for (const U256& a : inv_in) {
+            benchmark::DoNotOptimize(fp.Inv(a));
+          }
+        });
+      },
+      [&] {
+        inv_pow.Time([&] {
+          for (const U256& a : inv_in) {
+            benchmark::DoNotOptimize(fp.Pow(a, p_minus_2));
+          }
+        });
+      },
+      [&] {
+        decode.Time([&] {
+          for (const Bytes& e : encoded) {
+            agree &= Point::Decode(BytesView(e)).has_value();
+          }
+        });
+      },
+  };
+  // One untimed pass warms every table and code path; then the rows run
+  // in alternating order so drift within a repetition hits both sides of
+  // each comparison alike.
+  for (const auto& row : rows) {
+    row();
+  }
+  for (Spread* s : {&mul_spec, &mul_gen, &base_mul, &table_mul, &var_mul,
+                    &inv_chain, &inv_pow, &decode}) {
+    s->samples.clear();
+  }
+  for (int r = 0; r < reps; r++) {
+    for (size_t i = 0; i < rows.size(); i++) {
+      rows[r % 2 == 0 ? i : rows.size() - 1 - i]();
+    }
+  }
+  agree &= x_spec == x_gen;  // the same chain of products on both paths
+  agree &= fp.Inv(inv_in[0]) == fp.Pow(inv_in[0], p_minus_2);
+  agree &= key_table.Mul(ks[0]) == key.Mul(ks[0]);
+  ATOM_CHECK(agree);
+
+  const double ns_mul = 1e9 / kMuls, us_op = 1e6 / kOps;
+  const bool mul_ok = mul_spec.Median() <= mul_gen.Median() + mul_gen.Iqr();
+  const bool base_ok = base_mul.Median() <= table_mul.Median();
+  const bool inv_ok = inv_chain.Median() <= 0.8 * inv_pow.Median();
+  std::printf("field mul: p-specialized %.1f ns (IQR %.1f), generic over p "
+              "%.1f ns (IQR %.1f) -> %.2fx%s\n",
+              ns_mul * mul_spec.Median(), ns_mul * mul_spec.Iqr(),
+              ns_mul * mul_gen.Median(), ns_mul * mul_gen.Iqr(),
+              mul_gen.Median() / mul_spec.Median(),
+              mul_ok ? "" : "  FAIL: specialized slower than generic");
+  std::printf("scalar mult: BaseMul (w=7) %.1f us (IQR %.1f), key table "
+              "(w=5) %.1f us (IQR %.1f), generic Mul %.1f us (IQR %.1f)%s\n",
+              us_op * base_mul.Median(), us_op * base_mul.Iqr(),
+              us_op * table_mul.Median(), us_op * table_mul.Iqr(),
+              4 * us_op * var_mul.Median(), 4 * us_op * var_mul.Iqr(),
+              base_ok ? "" : "  FAIL: BaseMul slower than a key table");
+  std::printf("field inv: chain %.2f us (IQR %.2f), Pow %.2f us (IQR %.2f) "
+              "-> %.2fx%s\n",
+              us_op * inv_chain.Median(), us_op * inv_chain.Iqr(),
+              us_op * inv_pow.Median(), us_op * inv_pow.Iqr(),
+              inv_pow.Median() / inv_chain.Median(),
+              inv_ok ? "" : "  FAIL: chain above 0.8x Pow");
+  std::printf("Decode: %.2f us (IQR %.2f)\n", us_op * decode.Median(),
+              us_op * decode.Iqr());
+  json.Num("field_mul_p_ns", ns_mul * mul_spec.Median());
+  json.Num("field_mul_p_iqr_ns", ns_mul * mul_spec.Iqr());
+  json.Num("field_mul_generic_ns", ns_mul * mul_gen.Median());
+  json.Num("field_mul_generic_iqr_ns", ns_mul * mul_gen.Iqr());
+  json.Num("base_mul_us", us_op * base_mul.Median());
+  json.Num("base_mul_iqr_us", us_op * base_mul.Iqr());
+  json.Num("key_table_mul_us", us_op * table_mul.Median());
+  json.Num("key_table_mul_iqr_us", us_op * table_mul.Iqr());
+  json.Num("var_mul_us", 4 * us_op * var_mul.Median());
+  json.Num("var_mul_iqr_us", 4 * us_op * var_mul.Iqr());
+  json.Num("inv_chain_us", us_op * inv_chain.Median());
+  json.Num("inv_chain_iqr_us", us_op * inv_chain.Iqr());
+  json.Num("inv_pow_us", us_op * inv_pow.Median());
+  json.Num("inv_pow_iqr_us", us_op * inv_pow.Iqr());
+  json.Num("decode_us", us_op * decode.Median());
+  json.Num("decode_iqr_us", us_op * decode.Iqr());
+  return mul_ok && base_ok && inv_ok;
+}
 
 // MultiScalarMul vs n independent windowed Muls at the sizes the NIZK
 // verifiers use (2/3: prover's a3 and small sub-batches; 6/21: ReEnc
@@ -533,6 +692,7 @@ int main(int argc, char** argv) {
   {
     BenchJson json("bench_table3_primitives");
     json.Bool("smoke", smoke);
+    gates_ok &= MeasureField(json, smoke);
     gates_ok &= MeasureHotPath(json, smoke);
     gates_ok &= MeasureNizk(json, smoke);
     gates_ok &= MeasureIngress(json, smoke);

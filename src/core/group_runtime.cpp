@@ -134,7 +134,8 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
   // ---- Phase 3: decrypt-and-reencrypt chain (step 3).
   // Each neighbour key is the rewrap base for its whole sub-batch on every
   // participating server, so precompute one table per neighbour when the
-  // reuse count amortizes the build (~16 multiplications; see shuffle.cpp).
+  // reuse count amortizes the build (about five generic Muls; 16 uses
+  // leaves slack, as kTableBuildThreshold in shuffle.cpp).
   const size_t components = input.empty() ? 0 : input[0].size();
   std::vector<std::unique_ptr<FixedBaseTable>> next_tables(next_pks.size());
   for (size_t b = 0; b < next_pks.size(); b++) {

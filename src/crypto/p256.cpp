@@ -9,21 +9,6 @@
 namespace atom {
 namespace {
 
-// (p+1)/4, the exponent for square roots mod p (p ≡ 3 mod 4).
-const U256& SqrtExponent() {
-  static const U256 exp = [] {
-    U256 e;
-    uint64_t carry = U256Add(&e, P256Prime(), U256::FromU64(1));
-    ATOM_CHECK(carry == 0);
-    // Shift right by 2.
-    for (int i = 0; i < 4; i++) {
-      e.v[i] = (e.v[i] >> 2) | (i < 3 ? (e.v[i + 1] << 62) : 0);
-    }
-    return e;
-  }();
-  return exp;
-}
-
 // Curve coefficient a = -3 in Montgomery form.
 const U256& MontA() {
   static const U256 a = [] {
@@ -48,16 +33,6 @@ U256 CurveRhs(const U256& mx) {
   U256 x3 = fp.Mul(x2, mx);
   U256 ax = fp.Mul(MontA(), mx);
   return fp.Add(fp.Add(x3, ax), MontB());
-}
-
-// Square root mod p if it exists (p ≡ 3 mod 4 so a^((p+1)/4) works).
-std::optional<U256> MontSqrt(const U256& ma) {
-  const Mont& fp = FieldP();
-  U256 s = fp.Pow(ma, SqrtExponent());
-  if (fp.Mul(s, s) == ma) {
-    return s;
-  }
-  return std::nullopt;
 }
 
 // Parity (least significant bit) of a Montgomery-form field element.
@@ -365,42 +340,87 @@ void Point::NormalizeBatch(std::span<Point> points) {
   }
 }
 
-FixedBaseTable::FixedBaseTable(const Point& base) : base_(base) {
+namespace {
+
+// Window widths of the signed-digit fixed-base tables (see p256.h).
+constexpr int kTableWindowBits = 5;
+constexpr int kGeneratorWindowBits = 7;
+
+// `width` (< 64) bits of `e` starting at bit `pos` (< 256); bits past 255
+// read as zero.
+uint64_t WindowBits(const U256& e, int pos, int width) {
+  const int limb = pos / 64, off = pos % 64;
+  uint64_t bits = e.v[limb] >> off;
+  if (off + width > 64 && limb < 3) {
+    bits |= e.v[limb + 1] << (64 - off);
+  }
+  return bits & ((uint64_t{1} << width) - 1);
+}
+
+}  // namespace
+
+FixedBaseTable::FixedBaseTable(const Point& base)
+    : FixedBaseTable(base, kTableWindowBits) {}
+
+FixedBaseTable::FixedBaseTable(const Point& base, int window_bits)
+    : base_(base), window_bits_(window_bits) {
   if (base.IsInfinity()) {
     return;  // Mul short-circuits; the table is never consulted.
   }
-  Point cur = base;
-  for (int w = 0; w < 64; w++) {
-    table_[w][0] = cur;
-    for (int d = 1; d < 15; d++) {
-      table_[w][d] = table_[w][d - 1] + cur;
+  // ceil(257 / w) rows: the recoding's final carry needs one bit past 255.
+  const size_t rows = static_cast<size_t>((256 + window_bits) / window_bits);
+  const size_t row_len = size_t{1} << (window_bits - 1);
+  table_.resize(rows * row_len);
+  Point cur = base;  // 2^(w i) * base
+  for (size_t i = 0; i < rows; i++) {
+    Point* row = &table_[i * row_len];
+    row[0] = cur;
+    row[1] = cur.Double();
+    for (size_t j = 2; j < row_len; j++) {
+      row[j] = row[j - 1] + cur;
     }
-    cur = table_[w][14] + cur;  // cur <<= 4
+    cur = row[row_len - 1].Double();
   }
-  // Normalize all 960 entries to affine (z == 1) with ONE shared inversion
-  // so Mul can use the mixed add. Every entry is (d << 4w) * base with a
-  // multiplier in [1, 15 * 2^252] < n, so none is the identity (the curve
-  // has prime order, cofactor 1).
-  Point::NormalizeBatch(std::span<Point>(&table_[0][0], 64 * 15));
+  // Normalize every entry to affine (z == 1) with ONE shared inversion so
+  // Mul can use the mixed add. Every entry is j * 2^(w i) * base with
+  // 1 <= j <= 2^(w-1); that multiplier is never a multiple of the odd
+  // prime n, so no entry is the identity (the curve has cofactor 1).
+  Point::NormalizeBatch(table_);
 }
 
 Point FixedBaseTable::Mul(const Scalar& k) const {
   if (base_.IsInfinity() || k.IsZero()) {
     return Point::Infinity();
   }
-  U256 e = k.PlainValue();
+  // Booth recoding, least significant window first: a window value v (its
+  // w bits plus the carry in) above 2^(w-1) becomes the digit v - 2^w and
+  // carries one into the next window. A scalar below 2^256 leaves no carry
+  // out of the top row, whose window holds at most 4 bits (w = 5: 1).
+  const U256 e = k.PlainValue();
+  const int w = window_bits_;
+  const size_t row_len = size_t{1} << (w - 1);
+  const size_t rows = table_.size() / row_len;
+  const uint64_t half = uint64_t{1} << (w - 1);
+  uint64_t carry = 0;
   Point acc = Point::Infinity();
-  for (int window = 0; window < 64; window++) {
-    uint64_t digit = (e.v[window / 16] >> (4 * (window % 16))) & 0xf;
-    if (digit != 0) {
-      acc = Point::AddMixed(acc, table_[window][digit - 1]);
+  for (size_t i = 0; i < rows; i++) {
+    const uint64_t v = WindowBits(e, static_cast<int>(i) * w, w) + carry;
+    carry = v > half ? 1 : 0;
+    const Point* row = &table_[i * row_len];
+    if (carry != 0) {
+      if (v != 2 * half) {  // v == 2^w is the zero digit
+        acc = Point::AddMixed(acc, row[2 * half - v - 1].Neg());
+      }
+    } else if (v != 0) {
+      acc = Point::AddMixed(acc, row[v - 1]);
     }
   }
+  ATOM_CHECK(carry == 0);
   return acc;
 }
 
 const FixedBaseTable& Point::GeneratorTable() {
-  static const FixedBaseTable table(Generator());
+  static const FixedBaseTable table(Generator(), kGeneratorWindowBits);
   return table;
 }
 
@@ -472,7 +492,7 @@ std::optional<Point> Point::Decode(BytesView bytes33) {
   }
   const Mont& fp = FieldP();
   U256 mx = fp.ToMont(x);
-  auto my = MontSqrt(CurveRhs(mx));
+  auto my = fp.Sqrt(CurveRhs(mx));
   if (!my.has_value()) {
     return std::nullopt;
   }
@@ -566,17 +586,6 @@ Point PippengerMsm(std::span<const Point> points,
     plain[i] = scalars[i].PlainValue();
   }
 
-  auto digit_of = [&](const U256& e, int window) -> uint64_t {
-    int bit = window * c;
-    // Collect c bits starting at `bit` (may straddle a limb boundary).
-    int limb = bit / 64, off = bit % 64;
-    uint64_t d = e.v[limb] >> off;
-    if (off + c > 64 && limb + 1 < 4) {
-      d |= e.v[limb + 1] << (64 - off);
-    }
-    return d & ((1ull << c) - 1);
-  };
-
   Point result = Point::Infinity();
   std::vector<Point> buckets(num_buckets);
   for (int window = num_windows - 1; window >= 0; window--) {
@@ -587,7 +596,7 @@ Point PippengerMsm(std::span<const Point> points,
       b = Point::Infinity();
     }
     for (size_t i = 0; i < n; i++) {
-      uint64_t d = digit_of(plain[i], window);
+      uint64_t d = WindowBits(plain[i], window * c, c);
       if (d != 0) {
         buckets[d - 1] = buckets[d - 1] + points[i];
       }
@@ -689,7 +698,7 @@ Point HashToPoint(BytesView label) {
     }
     const Mont& fp = FieldP();
     U256 mx = fp.ToMont(x);
-    auto my = MontSqrt(CurveRhs(mx));
+    auto my = fp.Sqrt(CurveRhs(mx));
     if (!my.has_value()) {
       continue;
     }
@@ -724,7 +733,7 @@ std::optional<Point> EmbedMessage(BytesView data) {
     U256 x = U256::FromBytesBe(BytesView(xbuf));
     const Mont& fp = FieldP();
     U256 mx = fp.ToMont(x);
-    auto my = MontSqrt(CurveRhs(mx));
+    auto my = fp.Sqrt(CurveRhs(mx));
     if (!my.has_value()) {
       continue;
     }

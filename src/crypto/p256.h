@@ -7,13 +7,13 @@
 // cryptosystem in src/crypto builds on these two types.
 //
 // Hot-path tooling (see docs/architecture.md, "Crypto hot path"):
-//   - FixedBaseTable: precomputed 4-bit windowed table for ANY fixed base
-//     (group pk, entry pk, trustee pk, the generator itself). Entries are
-//     normalized to affine once at build time so every lookup uses the
-//     mixed Jacobian+affine addition (~8 field muls vs ~16 for the full
-//     Jacobian add), and Mul needs no doublings at all. Point::Mul rebuilds
-//     a 15-entry table per call — build a FixedBaseTable whenever the same
-//     base is multiplied more than ~10 times.
+//   - FixedBaseTable: precomputed signed-window (Booth) table for ANY fixed
+//     base (group pk, entry pk, trustee pk; the generator's is wider).
+//     Entries are normalized to affine once at build time so every lookup
+//     uses the mixed Jacobian+affine addition (~8 field muls vs ~16 for the
+//     full Jacobian add), and Mul needs no doublings at all. Point::Mul
+//     rebuilds a 15-entry table per call — build a FixedBaseTable whenever
+//     the same base is multiplied more than ~10 times.
 //   - Affine at rest: a point with z == 1 (decoded from the wire, built
 //     from affine coordinates, or passed through Point::NormalizeBatch)
 //     encodes with no inversion at all.
@@ -159,15 +159,22 @@ class Point {
   U256 x_, y_, z_;
 };
 
-// Precomputed 4-bit windowed table for one fixed base: table[w][d-1] holds
-// (d << 4w) * base, normalized to affine with a single batched inversion at
-// build time. Mul then needs only ~64 mixed additions and zero doublings —
-// the same shape the generator tables always used, available for any base
-// that repeats (group/entry/trustee public keys, rerandomization bases).
+// Precomputed signed-window (Booth) table for one fixed base. The scalar is
+// recoded into w-bit digits d_i in [-2^(w-1), 2^(w-1)] (k = sum d_i 2^(w i));
+// row i holds j * 2^(w i) * base for j = 1..2^(w-1), normalized to affine
+// with a single batched inversion at build time, and a negative digit adds
+// the negated entry. Mul then needs one mixed addition per nonzero digit and
+// zero doublings — available for any base that repeats (group/entry/trustee
+// public keys, rerandomization bases).
 //
-// Build cost is ~960 point adds plus one inversion, which amortizes after
-// roughly ten generic Point::Mul calls. The table is ~92KB; hot callers
-// cache one per round/epoch key rather than building per batch.
+// Every table built through the public constructor uses w = 5: 52 rows of
+// 16 entries (832 points, ~80KB), built with ~830 point additions plus one
+// inversion — about five generic Point::Mul calls, so it amortizes after
+// about six uses; hot callers cache one per round/epoch key rather than
+// building per batch. The
+// process-wide generator table behind Point::BaseMul uses w = 7: 37 rows of
+// 64 entries (2368 points, ~227KB, built once), so BaseMul costs ~37 mixed
+// additions where a w = 5 table costs ~52.
 class FixedBaseTable {
  public:
   explicit FixedBaseTable(const Point& base);
@@ -179,8 +186,13 @@ class FixedBaseTable {
   Point Mul(const Scalar& k) const;
 
  private:
+  friend class Point;  // builds the generator table
+  FixedBaseTable(const Point& base, int window_bits);
+
   Point base_;
-  Point table_[64][15];
+  int window_bits_;
+  // Row-major: entry j - 1 of row i is j * 2^(window_bits_ * i) * base.
+  std::vector<Point> table_;
 };
 
 // Concatenated 33-byte encodings of `points` — byte-identical to calling

@@ -1,12 +1,16 @@
 // Cross-implementation validation of the Montgomery field arithmetic:
 // random (a, b) pairs with a·b, a+b, and a⁻¹ computed independently by
-// CPython's arbitrary-precision integers, for both P-256 moduli.
+// CPython's arbitrary-precision integers, for both P-256 moduli; and
+// FieldP()'s p-specific paths (reduction, inversion and square-root
+// chains) against a generic Mont instance over the same prime.
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <vector>
 
 #include "src/crypto/mont.h"
 #include "src/util/hex.h"
+#include "src/util/rng.h"
 
 namespace atom {
 namespace {
@@ -75,6 +79,153 @@ TEST_P(FieldVectorTest, MatchesPythonBigints) {
 
 INSTANTIATE_TEST_SUITE_P(PythonVectors, FieldVectorTest,
                          ::testing::ValuesIn(kVectors));
+
+// ------------------------------------------ p-specific vs generic over p --
+
+// Uniform element of [0, p) (rejection sampling).
+U256 RandomBelowP(Rng& rng) {
+  for (;;) {
+    Bytes raw = rng.NextBytes(32);
+    U256 v = U256::FromBytesBe(BytesView(raw));
+    if (U256Less(v, P256Prime())) {
+      return v;
+    }
+  }
+}
+
+U256 PMinus(uint64_t k) {
+  U256 out;
+  U256Sub(&out, P256Prime(), U256::FromU64(k));
+  return out;
+}
+
+// Edge operands: 0, 1, 2, p - 1, p - 2, R mod p, 2^64 and 2^255 (a value
+// with the top bit set), each both as a raw residue and as the Montgomery
+// form of that value.
+std::vector<U256> EdgeOperands(const Mont& generic) {
+  U256 top;
+  top.v[3] = uint64_t{1} << 63;
+  std::vector<U256> raw = {U256::Zero(),     U256::FromU64(1),
+                           U256::FromU64(2), PMinus(1),
+                           PMinus(2),        generic.one(),
+                           U256::FromLimbs(0, 1, 0, 0),
+                           top};
+  std::vector<U256> out = raw;
+  for (const U256& v : raw) {
+    out.push_back(generic.ToMont(v));
+  }
+  return out;
+}
+
+TEST(FieldPDifferential, MulMatchesGenericOverP) {
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  ASSERT_EQ(fp.one(), generic.one());
+  Rng rng(uint64_t{0xf1e1d});
+  for (int i = 0; i < 100000; i++) {
+    const U256 a = RandomBelowP(rng), b = RandomBelowP(rng);
+    const U256 got = fp.Mul(a, b);
+    ASSERT_EQ(got, generic.Mul(a, b)) << "pair " << i;
+    ASSERT_TRUE(U256Less(got, P256Prime()));
+  }
+  const std::vector<U256> edges = EdgeOperands(generic);
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      const U256 got = fp.Mul(a, b);
+      EXPECT_EQ(got, generic.Mul(a, b));
+      EXPECT_TRUE(U256Less(got, P256Prime()));
+    }
+  }
+}
+
+// Pairs chosen so the product is a given residue: Mul(a, Mul(Inv(a), z))
+// = z. Products of p - 1 (the largest reduced value), 0, 1 and other
+// values next to either end of [0, p) sit on the final subtraction's
+// boundary, where a missed or an extra subtraction shows as p + z or as a
+// wrapped value.
+TEST(FieldPDifferential, ProductsOnTheFinalSubtractionBoundary) {
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  Rng rng(uint64_t{0xb0da});
+  const std::vector<U256> targets = {
+      U256::Zero(), U256::FromU64(1), U256::FromU64(2), PMinus(1), PMinus(2),
+      PMinus(uint64_t{1} << 32), generic.one()};
+  for (int i = 0; i < 64; i++) {
+    U256 a = RandomBelowP(rng);
+    if (a.IsZero()) {
+      continue;
+    }
+    for (const U256& z : targets) {
+      const U256 b = generic.Mul(generic.Inv(a), z);
+      EXPECT_EQ(generic.Mul(a, b), z);
+      EXPECT_EQ(fp.Mul(a, b), z);
+      EXPECT_EQ(fp.Mul(b, a), z);
+    }
+  }
+}
+
+TEST(FieldPDifferential, InvChainMatchesPow) {
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  const U256 p_minus_2 = PMinus(2);
+  Rng rng(uint64_t{0x1a7});
+  std::vector<U256> inputs = {fp.one(), U256::FromU64(1), PMinus(1),
+                              fp.ToMont(PMinus(1)), fp.ToMont(U256::FromU64(2))};
+  for (int i = 0; i < 256; i++) {
+    inputs.push_back(RandomBelowP(rng));
+  }
+  int non_residues = 0;
+  for (const U256& a : inputs) {
+    if (a.IsZero()) {
+      continue;
+    }
+    non_residues += fp.Sqrt(a).has_value() ? 0 : 1;
+    const U256 want = fp.Pow(a, p_minus_2);
+    EXPECT_EQ(fp.Inv(a), want);
+    EXPECT_EQ(generic.Inv(a), want);
+    EXPECT_EQ(fp.Mul(a, fp.Inv(a)), fp.one());
+  }
+  EXPECT_GT(non_residues, 64);  // about half the random inputs
+}
+
+TEST(FieldPDifferential, SqrtChainMatchesPow) {
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  // (p + 1) / 4.
+  U256 exp;
+  U256Add(&exp, P256Prime(), U256::FromU64(1));
+  for (int i = 0; i < 4; i++) {
+    exp.v[i] = (exp.v[i] >> 2) | (i < 3 ? (exp.v[i + 1] << 62) : 0);
+  }
+  Rng rng(uint64_t{0x5927});
+  // p - 1 is -1, a non-residue because p ≡ 3 mod 4.
+  std::vector<U256> inputs = {U256::Zero(), fp.one(), U256::FromU64(1),
+                              PMinus(1), fp.ToMont(PMinus(1))};
+  for (int i = 0; i < 256; i++) {
+    inputs.push_back(RandomBelowP(rng));
+  }
+  int residues = 0, non_residues = 0;
+  for (const U256& a : inputs) {
+    const U256 candidate = fp.Pow(a, exp);
+    const bool is_residue = fp.Mul(candidate, candidate) == a;
+    const std::optional<U256> got = fp.Sqrt(a);
+    EXPECT_EQ(got.has_value(), is_residue);
+    EXPECT_EQ(got, generic.Sqrt(a));
+    if (is_residue) {
+      residues++;
+      EXPECT_EQ(*got, candidate);
+    } else {
+      non_residues++;
+      // -a is then a residue (p ≡ 3 mod 4).
+      const std::optional<U256> neg = fp.Sqrt(fp.Neg(a));
+      ASSERT_TRUE(neg.has_value());
+      EXPECT_EQ(fp.Mul(*neg, *neg), fp.Neg(a));
+    }
+  }
+  EXPECT_FALSE(fp.Sqrt(fp.ToMont(PMinus(1))).has_value());
+  EXPECT_GT(residues, 64);
+  EXPECT_GT(non_residues, 64);
+}
 
 }  // namespace
 }  // namespace atom

@@ -478,6 +478,69 @@ TEST(FixedBase, GeneratorTableIsBaseMul) {
   }
 }
 
+// Scalars at the signed-window recoding's boundaries for window width w:
+// the small and top-of-range values, every window at 2^(w-1) (the largest
+// positive digit, no carry), every window at 2^(w-1) + 1 (a carry out of
+// every window), and a saturated top full window that carries into the
+// extra row. Each must be below n.
+std::vector<Scalar> BoothBoundaryScalars(int w) {
+  const Scalar one = Scalar::One();
+  const Scalar n_minus_1 = Scalar::Zero() - one;
+  std::vector<Scalar> out = {Scalar::Zero(),       one,
+                             Scalar::FromU64(2),   n_minus_1,
+                             n_minus_1 - one};
+  const int rows = (256 + w) / w;  // ceil(257 / w), as FixedBaseTable
+  auto shifted = [](uint64_t v, int bit) {
+    U256 k;
+    k.v[bit / 64] = v << (bit % 64);
+    if (bit % 64 != 0 && bit / 64 < 3) {
+      k.v[bit / 64 + 1] = v >> (64 - bit % 64);
+    }
+    return k;
+  };
+  auto to_scalar = [](const U256& k) {
+    std::optional<Scalar> s = Scalar::FromBytes(BytesView(k.ToBytesBe()));
+    EXPECT_TRUE(s.has_value());
+    return s.value_or(Scalar::Zero());
+  };
+  const uint64_t half = uint64_t{1} << (w - 1);
+  for (uint64_t digit : {half, half + 1}) {
+    U256 k;
+    // Every window that fits below bit 255 (so the value stays below n).
+    for (int i = 0; w * i + w <= 255; i++) {
+      U256 sum;
+      U256Add(&sum, k, shifted(digit, w * i));
+      k = sum;
+    }
+    out.push_back(to_scalar(k));
+  }
+  out.push_back(to_scalar(shifted((uint64_t{1} << w) - 1, w * (rows - 2))));
+  return out;
+}
+
+TEST(FixedBase, BoothBoundaryScalarsMatchGenericMul) {
+  Rng rng(49u);
+  const Point key = Point::BaseMul(Scalar::Random(rng));
+  const FixedBaseTable key_table(key);  // w = 5
+  // The generator's own w = 5 table next to BaseMul's w = 7 one.
+  const FixedBaseTable g_table(Point::Generator());
+  for (int w : {5, 7}) {
+    std::vector<Scalar> scalars = BoothBoundaryScalars(w);
+    for (int i = 0; i < 64; i++) {
+      scalars.push_back(Scalar::Random(rng));
+    }
+    for (const Scalar& k : scalars) {
+      const Point want_g = Point::Generator().Mul(k);
+      const Point want_key = key.Mul(k);
+      EXPECT_EQ(Point::BaseMul(k), want_g) << "w=" << w;
+      EXPECT_EQ(Point::BaseMul(k).Encode(), want_g.Encode()) << "w=" << w;
+      EXPECT_EQ(g_table.Mul(k), want_g) << "w=" << w;
+      EXPECT_EQ(key_table.Mul(k), want_key) << "w=" << w;
+      EXPECT_EQ(key_table.Mul(k).Encode(), want_key.Encode()) << "w=" << w;
+    }
+  }
+}
+
 TEST(FixedBase, IdentityBaseTableYieldsInfinity) {
   FixedBaseTable table(Point::Infinity());
   Rng rng(44u);
