@@ -125,10 +125,12 @@ FleetRun RunFaultedFleet(const std::string& fault_spec, size_t rounds,
   if (!mesh.ConnectAndPushRoster()) {
     return {};
   }
+  std::vector<TcpPeerMesh::HostGroupPush> pushes;
   for (uint32_t g = 0; g < round.NumGroups(); g++) {
-    if (!mesh.SendHostGroup(hosts[g], g, round.group(g).dkg())) {
-      return {};
-    }
+    pushes.push_back({hosts[g], g, &round.group(g).dkg()});
+  }
+  if (mesh.SendHostGroups(pushes).has_value()) {
+    return {};
   }
 
   FleetRun run;

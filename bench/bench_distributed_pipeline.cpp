@@ -261,11 +261,13 @@ FleetResult RunFleet(Fixture& fx, std::vector<EngineRound> specs,
     std::fprintf(stderr, "roster push failed\n");
     std::exit(1);
   }
+  std::vector<TcpPeerMesh::HostGroupPush> pushes;
   for (uint32_t g = 0; g < width; g++) {
-    if (!mesh.SendHostGroup(hosts[g], g, fx.round->group(g).dkg())) {
-      std::fprintf(stderr, "host-group push failed\n");
-      std::exit(1);
-    }
+    pushes.push_back({hosts[g], g, &fx.round->group(g).dkg()});
+  }
+  if (mesh.SendHostGroups(pushes).has_value()) {
+    std::fprintf(stderr, "host-group push failed\n");
+    std::exit(1);
   }
 
   FleetResult result;

@@ -28,9 +28,9 @@ double RealHopSeconds(Variant variant, size_t k, size_t messages) {
   for (size_t i = 0; i < messages; i++) {
     batch[i].push_back(ElGamalEncrypt(group.pk(), m, rng));
   }
-  std::vector<Point> next_pks = {next.pk()};
+  std::vector<const FixedBaseTable*> next_tables = {&next.pk_table()};
   auto t0 = std::chrono::steady_clock::now();
-  auto hop = group.RunHop(batch, next_pks, variant, rng);
+  auto hop = group.RunHop(batch, next_tables, variant, rng);
   double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -353,6 +353,128 @@ bool MeasureField(BenchJson& json, bool smoke) {
   return mul_ok && base_ok && inv_ok;
 }
 
+// Ladder rung 2, interleaved so drift hits every row alike: field Mul,
+// Add and Sub (dependent chains), then Point::Double, the full Jacobian
+// add and AddMixed (dependent chains of point operations). Gate: Double's
+// median is at most kDoubleMulGate field-mul medians, a same-process
+// ratio that holds whatever the host's clock does. Double is 3M + 5S plus
+// 15 adds/subs/negations of the field, so the gate fails when that carry
+// layer costs about as much as it did with the __int128 carry loops.
+constexpr double kDoubleMulGate = 11.5;
+
+bool MeasurePointOps(BenchJson& json, bool smoke) {
+  Rng rng(uint64_t{0x7ab1e8});
+  const Mont& fp = FieldP();
+  constexpr size_t kFieldOps = 20000;  // dependent field ops per sample
+  constexpr size_t kPointOps = 2000;   // dependent point ops per sample
+  const U256 y = fp.ToMont(Scalar::Random(rng).PlainValue());
+  U256 x_mul = fp.ToMont(Scalar::Random(rng).PlainValue());
+  U256 x_add = x_mul, x_sub = x_mul;
+  // A Jacobian (z != 1) addend for the full add, an affine one for
+  // AddMixed; the accumulators never meet them or the identity.
+  const Point jacobian = Point::BaseMul(Scalar::Random(rng));
+  Point affine = Point::BaseMul(Scalar::Random(rng));
+  Point::NormalizeBatch(std::span(&affine, 1));
+  ATOM_CHECK(!jacobian.IsAffine() && affine.IsAffine());
+  Point dbl = Point::BaseMul(Scalar::Random(rng));
+  Point add = dbl, mixed = dbl;
+
+  const int reps = smoke ? 21 : 61;
+  Spread mul, fadd, fsub, pdbl, padd, pmixed;
+  const std::vector<std::function<void()>> rows = {
+      [&] {
+        mul.Time([&] {
+          for (size_t i = 0; i < kFieldOps; i++) {
+            x_mul = fp.Mul(x_mul, y);
+          }
+        });
+      },
+      [&] {
+        fadd.Time([&] {
+          for (size_t i = 0; i < kFieldOps; i++) {
+            x_add = fp.Add(x_add, y);
+          }
+        });
+      },
+      [&] {
+        fsub.Time([&] {
+          for (size_t i = 0; i < kFieldOps; i++) {
+            x_sub = fp.Sub(x_sub, y);
+          }
+        });
+      },
+      [&] {
+        pdbl.Time([&] {
+          for (size_t i = 0; i < kPointOps; i++) {
+            dbl = dbl.Double();
+          }
+        });
+      },
+      [&] {
+        padd.Time([&] {
+          for (size_t i = 0; i < kPointOps; i++) {
+            add = add + jacobian;
+          }
+        });
+      },
+      [&] {
+        pmixed.Time([&] {
+          for (size_t i = 0; i < kPointOps; i++) {
+            mixed = Point::AddMixed(mixed, affine);
+          }
+        });
+      },
+  };
+  for (const auto& row : rows) {
+    row();
+  }
+  for (Spread* sp : {&mul, &fadd, &fsub, &pdbl, &padd, &pmixed}) {
+    sp->samples.clear();
+  }
+  for (int r = 0; r < reps; r++) {
+    for (size_t i = 0; i < rows.size(); i++) {
+      rows[r % 2 == 0 ? i : rows.size() - 1 - i]();
+    }
+  }
+  // The chains reached nothing degenerate, and the mixed and full adds
+  // agree on the group law.
+  ATOM_CHECK(!dbl.IsInfinity() && !add.IsInfinity() && !mixed.IsInfinity());
+  ATOM_CHECK(Point::AddMixed(jacobian, affine) == jacobian + affine);
+  ATOM_CHECK(fp.Sub(fp.Add(x_mul, y), y) == x_mul);
+
+  const double ns_field = 1e9 / kFieldOps, ns_point = 1e9 / kPointOps;
+  const double mul_ns = ns_field * mul.Median();
+  const double dbl_ns = ns_point * pdbl.Median();
+  const double ratio = dbl_ns / mul_ns;
+  const bool dbl_ok = ratio <= kDoubleMulGate;
+  std::printf("field: Mul %.1f ns (IQR %.1f), Add %.1f ns (IQR %.1f), Sub "
+              "%.1f ns (IQR %.1f)\n",
+              mul_ns, ns_field * mul.Iqr(), ns_field * fadd.Median(),
+              ns_field * fadd.Iqr(), ns_field * fsub.Median(),
+              ns_field * fsub.Iqr());
+  std::printf("point: Double %.0f ns (IQR %.0f), add %.0f ns (IQR %.0f), "
+              "AddMixed %.0f ns (IQR %.0f); Double = %.1f field muls "
+              "(gate <= %.1f)%s\n",
+              dbl_ns, ns_point * pdbl.Iqr(), ns_point * padd.Median(),
+              ns_point * padd.Iqr(), ns_point * pmixed.Median(),
+              ns_point * pmixed.Iqr(), ratio, kDoubleMulGate,
+              dbl_ok ? "" : "  FAIL: Double above the gate");
+  json.Num("rung2_field_mul_ns", mul_ns);
+  json.Num("rung2_field_mul_iqr_ns", ns_field * mul.Iqr());
+  json.Num("field_add_ns", ns_field * fadd.Median());
+  json.Num("field_add_iqr_ns", ns_field * fadd.Iqr());
+  json.Num("field_sub_ns", ns_field * fsub.Median());
+  json.Num("field_sub_iqr_ns", ns_field * fsub.Iqr());
+  json.Num("point_double_ns", dbl_ns);
+  json.Num("point_double_iqr_ns", ns_point * pdbl.Iqr());
+  json.Num("point_add_ns", ns_point * padd.Median());
+  json.Num("point_add_iqr_ns", ns_point * padd.Iqr());
+  json.Num("point_add_mixed_ns", ns_point * pmixed.Median());
+  json.Num("point_add_mixed_iqr_ns", ns_point * pmixed.Iqr());
+  json.Num("double_per_field_mul", ratio);
+  return dbl_ok;
+}
+
 // MultiScalarMul vs n independent windowed Muls at the sizes the NIZK
 // verifiers use (2/3: prover's a3 and small sub-batches; 6/21: ReEnc
 // sub-batches of one and three proofs plus shared terms; 44: VerifyShuffle
@@ -693,6 +815,7 @@ int main(int argc, char** argv) {
     BenchJson json("bench_table3_primitives");
     json.Bool("smoke", smoke);
     gates_ok &= MeasureField(json, smoke);
+    gates_ok &= MeasurePointOps(json, smoke);
     gates_ok &= MeasureHotPath(json, smoke);
     gates_ok &= MeasureNizk(json, smoke);
     gates_ok &= MeasureIngress(json, smoke);

@@ -317,12 +317,14 @@ int RunPipelined(const char* argv0, uint64_t seed) {
     ReapAll(servers);
     return 1;
   }
+  std::vector<TcpPeerMesh::HostGroupPush> pushes;
   for (uint32_t g = 0; g < width; g++) {
-    if (!mesh.SendHostGroup(hosts[g], g, round.group(g).dkg())) {
-      std::fprintf(stderr, "host-group push to %u failed\n", hosts[g]);
-      ReapAll(servers);
-      return 1;
-    }
+    pushes.push_back({hosts[g], g, &round.group(g).dkg()});
+  }
+  if (auto failed = mesh.SendHostGroups(pushes)) {
+    std::fprintf(stderr, "host-group push to %u failed\n", *failed);
+    ReapAll(servers);
+    return 1;
   }
   std::printf("encrypted links up; group DKG material distributed\n");
 
@@ -509,12 +511,14 @@ int RunPipelinedNetClients(const char* argv0, uint64_t seed) {
     ReapAll(servers);
     return 1;
   }
+  std::vector<TcpPeerMesh::HostGroupPush> pushes;
   for (uint32_t g = 0; g < width; g++) {
-    if (!mesh.SendHostGroup(hosts[g], g, net.group(g).dkg())) {
-      std::fprintf(stderr, "host-group push to %u failed\n", hosts[g]);
-      ReapAll(servers);
-      return 1;
-    }
+    pushes.push_back({hosts[g], g, &net.group(g).dkg()});
+  }
+  if (auto failed = mesh.SendHostGroups(pushes)) {
+    std::fprintf(stderr, "host-group push to %u failed\n", *failed);
+    ReapAll(servers);
+    return 1;
   }
   std::printf("%zu atom_server processes up; DKG material distributed\n",
               width);

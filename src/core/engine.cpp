@@ -347,10 +347,10 @@ void RoundEngine::ExecuteHop(const std::shared_ptr<RoundState>& rs,
   std::vector<CiphertextBatch> out(last ? 1 : neighbors.size());
 
   if (!rs->aborted.load(std::memory_order_acquire) && !input.empty()) {
-    std::vector<Point> next_pks;
-    next_pks.reserve(neighbors.size());
+    std::vector<const FixedBaseTable*> next_tables;
+    next_tables.reserve(neighbors.size());
     for (uint32_t n : neighbors) {
-      next_pks.push_back(spec.groups[n]->pk());
+      next_tables.push_back(&spec.groups[n]->pk_table());
     }
     // This hop's private DRBG: the round's root key, separated by hop
     // index (independent full-entropy streams, replayable from the spec).
@@ -359,7 +359,7 @@ void RoundEngine::ExecuteHop(const std::shared_ptr<RoundState>& rs,
     Rng rng(BytesView(key.data(), key.size()));
     HopResult hop;
     try {
-      hop = spec.groups[gid]->RunHop(input, next_pks, spec.variant, rng,
+      hop = spec.groups[gid]->RunHop(input, next_tables, spec.variant, rng,
                                      spec.hop_workers, node.fault);
     } catch (const std::exception& e) {
       // A throwing hop (e.g. bad_alloc) must not escape into the pool's

@@ -54,6 +54,18 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
                                std::span<const Point> next_pks,
                                Variant variant, Rng& rng, size_t workers,
                                const MaliciousAction* evil) const {
+  std::vector<FixedBaseTable> tables(next_pks.begin(), next_pks.end());
+  std::vector<const FixedBaseTable*> next_tables;
+  for (const FixedBaseTable& table : tables) {
+    next_tables.push_back(&table);
+  }
+  return RunHop(input, next_tables, variant, rng, workers, evil);
+}
+
+HopResult GroupRuntime::RunHop(
+    const CiphertextBatch& input,
+    std::span<const FixedBaseTable* const> next_tables, Variant variant,
+    Rng& rng, size_t workers, const MaliciousAction* evil) const {
   HopResult result;
   result.stats.messages = input.size();
 
@@ -118,7 +130,7 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
   }
 
   // ---- Phase 2: divide into β contiguous sub-batches.
-  const size_t beta = next_pks.empty() ? 1 : next_pks.size();
+  const size_t beta = next_tables.empty() ? 1 : next_tables.size();
   std::vector<CiphertextBatch> batches(beta);
   {
     size_t base = batch.size() / beta, extra = batch.size() % beta;
@@ -131,17 +143,10 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
     }
   }
 
-  // ---- Phase 3: decrypt-and-reencrypt chain (step 3).
-  // Each neighbour key is the rewrap base for its whole sub-batch on every
-  // participating server, so precompute one table per neighbour when the
-  // reuse count amortizes the build (about five generic Muls; 16 uses
-  // leaves slack, as kTableBuildThreshold in shuffle.cpp).
-  const size_t components = input.empty() ? 0 : input[0].size();
-  std::vector<std::unique_ptr<FixedBaseTable>> next_tables(next_pks.size());
-  for (size_t b = 0; b < next_pks.size(); b++) {
-    if (batches[b].size() * components * subset.size() >= 16) {
-      next_tables[b] = std::make_unique<FixedBaseTable>(next_pks[b]);
-    }
+  // ---- Phase 3: decrypt-and-reencrypt chain (step 3). Each neighbour's
+  // table is the rewrap base for its whole sub-batch on every server.
+  for (const FixedBaseTable* table : next_tables) {
+    ATOM_CHECK(table != nullptr);
   }
   for (size_t si = 0; si < subset.size(); si++) {
     uint32_t s = subset[si];
@@ -150,9 +155,9 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
     bool last_server = (si + 1 == subset.size());
 
     for (size_t b = 0; b < beta; b++) {
-      const Point* next = next_pks.empty() ? nullptr : &next_pks[b];
       const FixedBaseTable* next_table =
-          next_pks.empty() ? nullptr : next_tables[b].get();
+          next_tables.empty() ? nullptr : next_tables[b];
+      const Point* next = next_table == nullptr ? nullptr : &next_table->base();
       CiphertextBatch& sub = batches[b];
 
       // Pre-draw randomness serially, then reencrypt in parallel.
@@ -180,9 +185,7 @@ HopResult GroupRuntime::RunHop(const CiphertextBatch& input,
           cur.c = cur.c - cur.y.Mul(weighted);
           if (next != nullptr) {
             cur.r = cur.r + Point::BaseMul(draws[m][c]);
-            cur.c = cur.c + (next_table != nullptr
-                                 ? next_table->Mul(draws[m][c])
-                                 : next->Mul(draws[m][c]));
+            cur.c = cur.c + next_table->Mul(draws[m][c]);
             rewrap[m][c] = draws[m][c];
           } else {
             rewrap[m][c] = Scalar::Zero();

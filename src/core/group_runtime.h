@@ -87,9 +87,24 @@ class GroupRuntime {
   // Restores a failed server with a (possibly buddy-recovered) key.
   void Restore(const DkgServerKey& key);
 
-  // Runs one hop. `next_pks` holds the β neighbour group keys; empty means
-  // exit layer (final decryption). `workers` bounds intra-server
-  // parallelism. `evil` optionally injects one malicious action.
+  // Shared handle to pk_table(), for holders that may outlive this runtime
+  // (a NodeProcess round keeps its neighbours' tables alive this way).
+  std::shared_ptr<const FixedBaseTable> shared_pk_table() const {
+    return pk_table_;
+  }
+
+  // Runs one hop. `next_tables` holds the β neighbour group keys' tables
+  // (their base() is the key; every entry non-null); empty means exit layer
+  // (final decryption). Callers keep one table per key for as long as the
+  // key lives (the engine uses the neighbours' pk_table()), so no hop
+  // builds one. `workers` bounds intra-server parallelism. `evil`
+  // optionally injects one malicious action.
+  HopResult RunHop(const CiphertextBatch& input,
+                   std::span<const FixedBaseTable* const> next_tables,
+                   Variant variant, Rng& rng, size_t workers = 1,
+                   const MaliciousAction* evil = nullptr) const;
+  // One-off form over bare neighbour keys: builds a table per key for this
+  // call (about five variable-base Muls each), then runs the hop above.
   HopResult RunHop(const CiphertextBatch& input,
                    std::span<const Point> next_pks, Variant variant, Rng& rng,
                    size_t workers = 1,

@@ -26,6 +26,39 @@ uint64_t NegInv64(uint64_t m) {
   return ~inv + 1;  // -inv
 }
 
+// if_set where mask is all ones, if_clear where it is zero; no branch.
+U256 Select(uint64_t mask, const U256& if_set, const U256& if_clear) {
+  U256 out;
+  for (int i = 0; i < 4; i++) {
+    out.v[i] = (if_set.v[i] & mask) | (if_clear.v[i] & ~mask);
+  }
+  return out;
+}
+
+// (t0..t4) += x * y; returns the carry out of t4. The four partial
+// products' low halves go in as one carry chain and their high halves, one
+// limb up, as a second, so no 128-bit sum is carried between limbs.
+inline uint64_t MulAddRow(uint64_t x, const U256& y, uint64_t& t0,
+                          uint64_t& t1, uint64_t& t2, uint64_t& t3,
+                          uint64_t& t4) {
+  using U128 = unsigned __int128;
+  const U128 p0 = static_cast<U128>(x) * y.v[0];
+  const U128 p1 = static_cast<U128>(x) * y.v[1];
+  const U128 p2 = static_cast<U128>(x) * y.v[2];
+  const U128 p3 = static_cast<U128>(x) * y.v[3];
+  uint8_t c = AddCarry64(0, t0, static_cast<uint64_t>(p0), &t0);
+  c = AddCarry64(c, t1, static_cast<uint64_t>(p1), &t1);
+  c = AddCarry64(c, t2, static_cast<uint64_t>(p2), &t2);
+  c = AddCarry64(c, t3, static_cast<uint64_t>(p3), &t3);
+  c = AddCarry64(c, t4, 0, &t4);
+  const uint64_t top = c;
+  c = AddCarry64(0, t1, static_cast<uint64_t>(p0 >> 64), &t1);
+  c = AddCarry64(c, t2, static_cast<uint64_t>(p1 >> 64), &t2);
+  c = AddCarry64(c, t3, static_cast<uint64_t>(p2 >> 64), &t3);
+  c = AddCarry64(c, t4, static_cast<uint64_t>(p3 >> 64), &t4);
+  return top + c;
+}
+
 // Montgomery product mod p = 2^256 - 2^224 + 2^192 + 2^96 - 1: the generic
 // CIOS loop below with the reduction unrolled for p's limbs. p[0] = 2^64 - 1
 // makes -p^-1 mod 2^64 = 1, so the round's multiplier u is t[0] itself and
@@ -35,34 +68,17 @@ uint64_t NegInv64(uint64_t m) {
 // the output is the same fully reduced residue.
 U256 MulP(const U256& a, const U256& b) {
   constexpr uint64_t kP3 = 0xffffffff00000001ULL;
-  using U128 = unsigned __int128;
   uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
   for (int i = 0; i < 4; i++) {
-    // t += a[i] * b
-    const uint64_t ai = a.v[i];
-    U128 cur = static_cast<U128>(ai) * b.v[0] + t0;
-    t0 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(ai) * b.v[1] + t1 + (cur >> 64);
-    t1 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(ai) * b.v[2] + t2 + (cur >> 64);
-    t2 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(ai) * b.v[3] + t3 + (cur >> 64);
-    t3 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(t4) + (cur >> 64);
-    t4 = static_cast<uint64_t>(cur);
-    const uint64_t t5 = static_cast<uint64_t>(cur >> 64);
-
+    const uint64_t t5 = MulAddRow(a.v[i], b, t0, t1, t2, t3, t4);
     // Reduce: t = (t + u*p) / 2^64 with u = t0.
     const uint64_t u = t0;
-    cur = static_cast<U128>(t1) + (static_cast<U128>(u) << 32);
-    t0 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(t2) + (cur >> 64);
-    t1 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(u) * kP3 + t3 + (cur >> 64);
-    t2 = static_cast<uint64_t>(cur);
-    cur = static_cast<U128>(t4) + (cur >> 64);
-    t3 = static_cast<uint64_t>(cur);
-    t4 = t5 + static_cast<uint64_t>(cur >> 64);
+    const unsigned __int128 up3 = static_cast<unsigned __int128>(u) * kP3;
+    uint8_t c = AddCarry64(0, t1, u << 32, &t0);
+    c = AddCarry64(c, t2, u >> 32, &t1);
+    c = AddCarry64(c, t3, static_cast<uint64_t>(up3), &t2);
+    c = AddCarry64(c, t4, static_cast<uint64_t>(up3 >> 64), &t3);
+    t4 = t5 + c;
   }
 
   U256 out = U256::FromLimbs(t0, t1, t2, t3);
@@ -140,66 +156,56 @@ U256 Mont::MulP256(const U256& a, const U256& b) { return MulP(a, b); }
 
 U256 Mont::MulGeneric(const U256& a, const U256& b) const {
   // CIOS Montgomery multiplication; t has 4 + 2 limbs of headroom.
-  uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+  uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
   for (int i = 0; i < 4; i++) {
-    // t += a[i] * b
-    uint64_t carry = 0;
-    for (int j = 0; j < 4; j++) {
-      unsigned __int128 cur =
-          static_cast<unsigned __int128>(a.v[i]) * b.v[j] + t[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    unsigned __int128 cur = static_cast<unsigned __int128>(t[4]) + carry;
-    t[4] = static_cast<uint64_t>(cur);
-    t[5] = static_cast<uint64_t>(cur >> 64);
-
+    uint64_t t5 = MulAddRow(a.v[i], b, t0, t1, t2, t3, t4);
     // Reduce: t = (t + u*m) / 2^64 with u chosen so the low limb cancels.
-    uint64_t u = t[0] * n0inv_;
-    cur = static_cast<unsigned __int128>(u) * m_.v[0] + t[0];
-    carry = static_cast<uint64_t>(cur >> 64);
-    for (int j = 1; j < 4; j++) {
-      cur = static_cast<unsigned __int128>(u) * m_.v[j] + t[j] + carry;
-      t[j - 1] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    cur = static_cast<unsigned __int128>(t[4]) + carry;
-    t[3] = static_cast<uint64_t>(cur);
-    t[4] = t[5] + static_cast<uint64_t>(cur >> 64);
-    t[5] = 0;
+    const uint64_t u = t0 * n0inv_;
+    t5 += MulAddRow(u, m_, t0, t1, t2, t3, t4);
+    t0 = t1;
+    t1 = t2;
+    t2 = t3;
+    t3 = t4;
+    t4 = t5;
   }
 
-  U256 out = U256::FromLimbs(t[0], t[1], t[2], t[3]);
-  if (t[4] != 0 || !U256Less(out, m_)) {
+  U256 out = U256::FromLimbs(t0, t1, t2, t3);
+  if (t4 != 0 || !U256Less(out, m_)) {
     U256Sub(&out, out, m_);
   }
   return out;
 }
 
+// Add, Sub and Neg compute both candidates and keep one through an
+// all-ones/all-zeros mask, so none of them branches on its operands. Each
+// returns exactly what the compare-and-correct form returns, for every
+// input (in range or not).
 U256 Mont::Add(const U256& a, const U256& b) const {
-  U256 out;
-  uint64_t carry = U256Add(&out, a, b);
-  if (carry != 0 || !U256Less(out, m_)) {
-    U256Sub(&out, out, m_);
-  }
-  return out;
+  U256 sum, reduced;
+  const uint64_t carry = U256Add(&sum, a, b);
+  const uint64_t borrow = U256Sub(&reduced, sum, m_);
+  // Keep the raw sum only when it did not carry out and is below m.
+  return Select(0 - (borrow & (carry ^ 1)), sum, reduced);
 }
 
 U256 Mont::Sub(const U256& a, const U256& b) const {
-  U256 out;
-  uint64_t borrow = U256Sub(&out, a, b);
-  if (borrow != 0) {
-    U256Add(&out, out, m_);
-  }
-  return out;
+  U256 diff;
+  const uint64_t mask = 0 - U256Sub(&diff, a, b);
+  // Add back m when the subtraction wrapped, 0 otherwise.
+  const U256 fix = U256::FromLimbs(m_.v[0] & mask, m_.v[1] & mask,
+                                   m_.v[2] & mask, m_.v[3] & mask);
+  U256Add(&diff, diff, fix);
+  return diff;
 }
 
 U256 Mont::Neg(const U256& a) const {
-  if (a.IsZero()) {
-    return a;
-  }
   U256 out;
   U256Sub(&out, m_, a);
+  const uint64_t nonzero = (a.v[0] | a.v[1] | a.v[2] | a.v[3]) != 0;
+  const uint64_t mask = 0 - nonzero;  // -0 = 0 stays 0, not m
+  for (int i = 0; i < 4; i++) {
+    out.v[i] &= mask;
+  }
   return out;
 }
 

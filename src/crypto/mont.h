@@ -9,6 +9,14 @@
 // derived constants (n0inv, R², R) are computed in the constructor rather
 // than hard-coded, so a transcription error in a modulus constant is caught
 // by the known-answer tests instead of silently corrupting arithmetic.
+//
+// Every carry in this layer runs through AddCarry64/SubBorrow64 and
+// U256Add/U256Sub (src/crypto/u256.h): adc/sbb chains on x86-64. Both
+// multiplications accumulate each row's partial products as two such
+// chains (low halves, then high halves one limb up). Add, Sub and Neg
+// compute both candidate results and keep one through a mask, so they take
+// no branch that depends on their operands; Mul's final conditional
+// subtraction and Inv/Sqrt/Pow are not constant-time.
 #ifndef SRC_CRYPTO_MONT_H_
 #define SRC_CRYPTO_MONT_H_
 
@@ -40,6 +48,8 @@ class Mont {
   }
 
   // Modular add/sub/negate (representation-agnostic: work for both forms).
+  // Branch-free: the result is chosen by a mask from the carry and borrow
+  // bits, and equals the compare-and-subtract result for every input.
   U256 Add(const U256& a, const U256& b) const;
   U256 Sub(const U256& a, const U256& b) const;
   U256 Neg(const U256& a) const;

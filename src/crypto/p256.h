@@ -93,6 +93,11 @@ class Point {
   friend Point operator+(const Point& a, const Point& b);
   Point Double() const;
   Point Neg() const;
+  // Mixed-coordinate addition: `affine` must be the identity or have z == 1
+  // (IsAffine()), which saves ~5 field multiplications over operator+.
+  // FixedBaseTable entries and MultiScalarMul's window tables satisfy this
+  // by construction (NormalizeBatch).
+  static Point AddMixed(const Point& jacobian, const Point& affine);
   friend Point operator-(const Point& a, const Point& b) { return a + b.Neg(); }
 
   // Variable-base scalar multiplication (4-bit window, rebuilds its window
@@ -149,12 +154,6 @@ class Point {
 
   friend Point MultiScalarMul(std::span<const Point> points,
                               std::span<const Scalar> scalars);
-
-  // Mixed-coordinate addition: `affine` must be the identity or have z == 1
-  // (Montgomery one), which saves ~5 field multiplications over the general
-  // Jacobian add. FixedBaseTable entries and MultiScalarMul's window tables
-  // satisfy this by construction (NormalizeBatch).
-  static Point AddMixed(const Point& jacobian, const Point& affine);
 
   U256 x_, y_, z_;
 };

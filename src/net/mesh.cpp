@@ -424,7 +424,12 @@ bool TcpPeerMesh::SendFrame(uint32_t peer_id, LinkMsg type, BytesView body) {
 bool TcpPeerMesh::SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
                                  uint64_t round_id, uint32_t gid,
                                  uint32_t envelope_count) {
-  const size_t cost = body.size() + 1;  // + the LinkMsg tag byte
+  return EnqueueFrame(peer_id, QueuedFrame{type, std::move(body), round_id,
+                                           gid, envelope_count});
+}
+
+bool TcpPeerMesh::EnqueueFrame(uint32_t peer_id, QueuedFrame frame) {
+  const size_t cost = frame.body.size() + 1;  // + the LinkMsg tag byte
   ThreadPool* pool;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -435,14 +440,17 @@ bool TcpPeerMesh::SendFrameAsync(uint32_t peer_id, LinkMsg type, Bytes body,
     // Byte-accounted admission, shared with the synchronous path's
     // in-flight bytes: a giant bundle consumes exactly its size of the
     // budget. One frame is always admitted when nothing is pending —
-    // drop-to-abort past the bound, never block.
+    // drop-to-abort past the bound, never block. A control frame is
+    // exempt: it is small, each push has at most one per peer, and its
+    // waiter's timeout already bounds it; refusing it behind a deep data
+    // lane would fail a round open that only has to wait its turn.
     const size_t pending = lane.queued_bytes + send_pending_[peer_id];
-    if (pending > 0 && pending + cost > send_queue_bound_) {
+    if (frame.ack_seq == 0 && pending > 0 &&
+        pending + cost > send_queue_bound_) {
       drops_->Add(1);
       return false;
     }
-    lane.queue.push_back(QueuedFrame{type, std::move(body), round_id, gid,
-                                     envelope_count});
+    lane.queue.push_back(std::move(frame));
     lane.queued_bytes += cost;
     lane.obs.queue_depth_peak->UpdateMax(
         static_cast<int64_t>(lane.queued_bytes));
@@ -481,7 +489,7 @@ void TcpPeerMesh::DrainSenderLane(uint32_t peer_id) {
                         peer_id, "bytes", frame.body.size() + 1);
     sent = SendFrame(peer_id, frame.type, BytesView(frame.body));
   }
-  if (!sent) {
+  if (!sent && frame.ack_seq == 0) {
     // Converted before the lane is marked idle: once draining clears,
     // Stop() may tear the mesh down, so no mesh state may be touched
     // after the idle transition below.
@@ -490,6 +498,14 @@ void TcpPeerMesh::DrainSenderLane(uint32_t peer_id) {
   ThreadPool* pool = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (!sent && frame.ack_seq != 0) {
+      // A control frame: its waiter reports the failure, no abort here.
+      auto it = pending_acks_.find(frame.ack_seq);
+      if (it != pending_acks_.end() && it->second == AckState::kWaiting) {
+        it->second = AckState::kFailed;
+        cv_.notify_all();
+      }
+    }
     SenderLane& lane = LaneFor(peer_id);
     if (sent && frame.type == LinkMsg::kEnvelopeBundle) {
       lane.obs.bundles_sent->Add(1);
@@ -644,8 +660,11 @@ void TcpPeerMesh::HandleFrame(uint32_t peer_id, LinkFrame frame) {
     auto seq = DecodeAck(BytesView(frame.body));
     if (seq) {
       std::lock_guard<std::mutex> lock(mu_);
-      acked_.insert(*seq);
-      cv_.notify_all();
+      auto it = pending_acks_.find(*seq);
+      if (it != pending_acks_.end() && it->second == AckState::kWaiting) {
+        it->second = AckState::kAcked;
+        cv_.notify_all();
+      }
     }
     return;
   }
@@ -745,14 +764,45 @@ uint64_t TcpPeerMesh::NextSeq() {
   return next_seq_++;
 }
 
-bool TcpPeerMesh::SendControlAwaitAck(uint32_t peer_id, LinkMsg type,
-                                      uint64_t seq, BytesView body) {
-  if (!SendFrame(peer_id, type, body)) {
-    return false;
+std::optional<uint32_t> TcpPeerMesh::SendControlAwaitAcks(
+    std::vector<ControlFrame> frames) {
+  {
+    // Registered before any frame leaves, so no ack can beat its waiter.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const ControlFrame& frame : frames) {
+      pending_acks_[frame.seq] = AckState::kWaiting;
+    }
+  }
+  // Every frame is queued before any wait, so the emulated or real wire
+  // delays of different peers overlap instead of adding up.
+  for (ControlFrame& control : frames) {
+    QueuedFrame frame;
+    frame.type = control.type;
+    frame.body = std::move(control.body);
+    frame.ack_seq = control.seq;
+    if (!EnqueueFrame(control.peer_id, std::move(frame))) {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_acks_[control.seq] = AckState::kFailed;
+    }
   }
   std::unique_lock<std::mutex> lock(mu_);
-  return cv_.wait_for(lock, control_timeout_,
-                      [&] { return acked_.contains(seq); });
+  cv_.wait_for(lock, control_timeout_, [&] {
+    return stopping_ ||
+           std::none_of(frames.begin(), frames.end(),
+                        [&](const ControlFrame& frame) {
+                          return pending_acks_.at(frame.seq) ==
+                                 AckState::kWaiting;
+                        });
+  });
+  std::optional<uint32_t> first_failed;
+  for (const ControlFrame& frame : frames) {
+    auto it = pending_acks_.find(frame.seq);
+    if (it->second != AckState::kAcked && !first_failed) {
+      first_failed = frame.peer_id;
+    }
+    pending_acks_.erase(it);
+  }
+  return first_failed;
 }
 
 bool TcpPeerMesh::ConnectAndPushRoster() {
@@ -765,23 +815,30 @@ bool TcpPeerMesh::ConnectAndPushRoster() {
       roster.push_back(peer);
     }
   }
+  std::vector<ControlFrame> frames;
   for (const MeshPeer& peer : roster) {
     uint64_t seq = NextSeq();
-    Bytes body = EncodeRoster(seq, roster);
-    if (!SendControlAwaitAck(peer.server_id, LinkMsg::kRoster, seq,
-                             BytesView(body))) {
-      return false;
-    }
+    frames.push_back(ControlFrame{peer.server_id, LinkMsg::kRoster, seq,
+                                  EncodeRoster(seq, roster)});
   }
-  return true;
+  return !SendControlAwaitAcks(std::move(frames)).has_value();
+}
+
+std::optional<uint32_t> TcpPeerMesh::SendHostGroups(
+    std::span<const HostGroupPush> pushes) {
+  std::vector<ControlFrame> frames;
+  for (const HostGroupPush& push : pushes) {
+    uint64_t seq = NextSeq();
+    frames.push_back(ControlFrame{push.peer_id, LinkMsg::kHostGroup, seq,
+                                  EncodeHostGroup(seq, push.gid, *push.dkg)});
+  }
+  return SendControlAwaitAcks(std::move(frames));
 }
 
 bool TcpPeerMesh::SendHostGroup(uint32_t peer_id, uint32_t gid,
                                 const DkgResult& dkg) {
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeHostGroup(seq, gid, dkg);
-  return SendControlAwaitAck(peer_id, LinkMsg::kHostGroup, seq,
-                             BytesView(body));
+  const HostGroupPush push{peer_id, gid, &dkg};
+  return !SendHostGroups(std::span(&push, 1)).has_value();
 }
 
 std::optional<obs::MetricsSnapshot> TcpPeerMesh::FetchMetricsSnapshot(
@@ -813,13 +870,17 @@ void TcpPeerMesh::set_next_round_id(uint64_t id) {
   next_round_id_ = id;
 }
 
-bool TcpPeerMesh::SendBeginRound(uint32_t peer_id, uint64_t round_id,
-                                 const std::array<uint8_t, 32>& root_key,
-                                 const WireRoundSpec& spec) {
-  uint64_t seq = NextSeq();
-  Bytes body = EncodeBeginRound(seq, round_id, root_key, spec);
-  return SendControlAwaitAck(peer_id, LinkMsg::kBeginRound, seq,
-                             BytesView(body));
+std::optional<uint32_t> TcpPeerMesh::SendBeginRounds(
+    uint64_t round_id, const std::array<uint8_t, 32>& root_key,
+    std::span<const std::pair<uint32_t, WireRoundSpec>> specs) {
+  std::vector<ControlFrame> frames;
+  for (const auto& [peer_id, spec] : specs) {
+    uint64_t seq = NextSeq();
+    frames.push_back(
+        ControlFrame{peer_id, LinkMsg::kBeginRound, seq,
+                     EncodeBeginRound(seq, round_id, root_key, spec)});
+  }
+  return SendControlAwaitAcks(std::move(frames));
 }
 
 void TcpPeerMesh::BroadcastRoundDone(uint64_t round_id,

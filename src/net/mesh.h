@@ -50,6 +50,15 @@ class ThreadPool;
 // bench_distributed_pipeline reproduce Figure 10/11-shaped multi-region
 // runs on loopback: intra-region links get a small delay, cross-region
 // links a large one.
+//
+// Limits of the emulation (measured in a traced mesh_wan run): the delay
+// is a sleep on the sender-lane drain task that writes the frame, not a
+// delay line. Frames to one peer therefore leave one after another, each
+// paying the whole delay after the previous one was written (a second
+// frame to a 40 ms peer starts 40 ms after the first), so a link carries
+// at most one frame per delay; and every sleeping drain holds one thread
+// of the sending server's pool (3 threads per server in mesh_wan) for
+// the whole delay.
 struct WanProfile {
   std::chrono::milliseconds delay{0};
   size_t bytes_per_ms = 0;
@@ -165,10 +174,26 @@ class TcpPeerMesh {
 
   // ---- Driver-side setup.
 
+  // Every ack-synchronized control push below sends all of its frames
+  // before waiting (each through its peer's sender lane, behind whatever
+  // that lane already holds), then awaits every ack under one control
+  // timeout: a fan-out to n hosts costs the slowest round trip, not the
+  // sum of all n.
+
   // Dials every rostered peer and pushes the roster, waiting for acks.
   bool ConnectAndPushRoster();
-  // Ships a whole group's DKG output so the receiver hosts that group's
-  // engine hops for pipelined rounds (ack-synchronized).
+  // Ships whole groups' DKG outputs so each receiver hosts that group's
+  // engine hops for pipelined rounds (ack-synchronized). Returns the first
+  // push's host, in order, that failed or did not ack; nullopt when all
+  // were acked.
+  struct HostGroupPush {
+    uint32_t peer_id = 0;
+    uint32_t gid = 0;
+    const DkgResult* dkg = nullptr;
+  };
+  std::optional<uint32_t> SendHostGroups(
+      std::span<const HostGroupPush> pushes);
+  // One push.
   bool SendHostGroup(uint32_t peer_id, uint32_t gid, const DkgResult& dkg);
 
   // Driver side: pulls the peer process's frozen metrics registry over
@@ -190,11 +215,13 @@ class TcpPeerMesh {
   // there because every scenario spawns a fresh fleet, which is exactly
   // the stale-lane hazard the random base exists to avoid.
   void set_next_round_id(uint64_t id);
-  // Opens a round on one server: root key and round spec,
-  // ack-synchronized so key material lands before dependent traffic.
-  bool SendBeginRound(uint32_t peer_id, uint64_t round_id,
-                      const std::array<uint8_t, 32>& root_key,
-                      const WireRoundSpec& spec);
+  // Opens a round on each (server, spec) pair's server: the root key and
+  // that server's spec, ack-synchronized so key material lands before
+  // dependent traffic. Returns the first server, in `specs` order, whose
+  // open failed or was not acked in time; nullopt when every one was.
+  std::optional<uint32_t> SendBeginRounds(
+      uint64_t round_id, const std::array<uint8_t, 32>& root_key,
+      std::span<const std::pair<uint32_t, WireRoundSpec>> specs);
   // Retires a round on the named peers (or every rostered peer when the
   // span is empty). Best-effort: a dead peer's state dies with it.
   void BroadcastRoundDone(uint64_t round_id,
@@ -227,8 +254,10 @@ class TcpPeerMesh {
   // sealing while the emulated wire is busy.
   void set_send_delay(std::chrono::milliseconds delay);
   // Per-peer WAN matrix entry; overrides set_send_delay for this peer and
-  // adds a bandwidth term (see WanProfile). Benches build a full
-  // latency/bandwidth matrix by calling this once per peer.
+  // adds a bandwidth term (see WanProfile, including the emulation's
+  // limits: one frame per delay per peer, a pool thread held per sleep).
+  // Benches build a full latency/bandwidth matrix by calling this once
+  // per peer.
   void set_peer_profile(uint32_t peer_id, WanProfile profile);
   // Pool that runs the sender-lane drains (default ThreadPool::Shared());
   // a NodeProcess points this at its own pool so transport and protocol
@@ -277,9 +306,19 @@ class TcpPeerMesh {
   void ConvertAsyncSendFailure(uint32_t peer_id, uint64_t round_id,
                                uint32_t gid);
 
-  // Sends a control frame and blocks until its ack arrives.
-  bool SendControlAwaitAck(uint32_t peer_id, LinkMsg type, uint64_t seq,
-                           BytesView body);
+  // One ack-synchronized control frame; `body` encodes `seq`.
+  struct ControlFrame {
+    uint32_t peer_id = 0;
+    LinkMsg type = LinkMsg::kAck;
+    uint64_t seq = 0;
+    Bytes body;
+  };
+  // Queues every frame on its peer's sender lane, then waits up to one
+  // control timeout for all acks. Returns the first frame's peer (in
+  // order) whose send failed or whose ack did not arrive; nullopt when
+  // all were acked.
+  std::optional<uint32_t> SendControlAwaitAcks(
+      std::vector<ControlFrame> frames);
   uint64_t NextSeq();
 
   const Role role_;
@@ -296,7 +335,11 @@ class TcpPeerMesh {
   // readers (blocked in Recv on a half-open socket) would hang forever.
   std::vector<std::shared_ptr<SecureLink>> adopted_;
   std::vector<std::thread> threads_;  // accept loop + link readers
-  std::set<uint64_t> acked_;
+  // Control seqs with a waiter in SendControlAwaitAcks, and what became of
+  // each. Only a waiting seq is ever updated, and the waiter erases its
+  // seqs on return, so a late ack or a late lane failure leaves nothing.
+  enum class AckState { kWaiting, kAcked, kFailed };
+  std::map<uint64_t, AckState> pending_acks_;
   uint64_t next_seq_ = 1;
   uint64_t next_round_id_ = 1;
   bool stopping_ = false;
@@ -324,13 +367,23 @@ class TcpPeerMesh {
 
   // One outbound frame parked on a sender lane. round_id/gid scope the
   // abort synthesized if the send fails once it is this frame's turn.
+  // A control frame instead carries its ack seq: a failed send marks the
+  // seq failed in pending_acks_ for its waiter rather than synthesizing an
+  // abort, and admission does not apply the byte bound to it (see
+  // EnqueueFrame).
   struct QueuedFrame {
     LinkMsg type = LinkMsg::kEnvelope;
     Bytes body;
     uint64_t round_id = 0;
     uint32_t gid = 0;
     uint32_t envelopes = 1;
+    uint64_t ack_seq = 0;
   };
+  // Admits one frame to the peer's sender lane and starts a drain if none
+  // is running. A data frame is byte-bounded; a control frame (ack_seq set)
+  // always joins the lane. False when stopping or a data frame is over the
+  // bound.
+  bool EnqueueFrame(uint32_t peer_id, QueuedFrame frame);
   // Cached registry handles for one peer link's transport counters — the
   // single source of truth behind Stats(), shared with the fleet-wide
   // metrics export. Series carry {mesh="<self>#<instance>",peer="<id>"}

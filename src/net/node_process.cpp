@@ -80,6 +80,40 @@ GroupRuntime* NodeProcess::FindHostedGroup(uint32_t gid) {
   return it == hosted_.end() ? nullptr : it->second.get();
 }
 
+std::vector<std::shared_ptr<const FixedBaseTable>>
+NodeProcess::ResolveKeyTables(const WireRoundSpec& spec) {
+  std::vector<std::shared_ptr<const FixedBaseTable>> out(spec.width);
+  std::lock_guard<std::mutex> lock(tables_mu_);
+  for (const auto& layer : spec.adjacency) {
+    for (uint32_t gid = 0; gid < spec.width; gid++) {
+      if (spec.hosts[gid] != server_id_) {
+        continue;
+      }
+      for (uint32_t n : layer[gid]) {
+        if (out[n] != nullptr) {
+          continue;
+        }
+        const Point& key = spec.group_pks[n];
+        std::shared_ptr<const FixedBaseTable>& cached = key_tables_[n];
+        if (cached == nullptr || !(cached->base() == key)) {
+          {
+            std::lock_guard<std::mutex> groups_lock(groups_mu_);
+            auto it = hosted_.find(n);
+            cached = it != hosted_.end() && it->second->pk() == key
+                         ? it->second->shared_pk_table()
+                         : nullptr;
+          }
+          if (cached == nullptr) {
+            cached = std::make_shared<const FixedBaseTable>(key);
+          }
+        }
+        out[n] = cached;
+      }
+    }
+  }
+  return out;
+}
+
 void NodeProcess::SetFaultPlan(std::shared_ptr<FaultPlan> plan) {
   fault_plan_ = plan;
   mesh_.SetFaultPlan(std::move(plan));
@@ -165,6 +199,8 @@ void NodeProcess::HandleControl(uint32_t peer_id, LinkFrame frame) {
 }
 
 void NodeProcess::BeginRound(uint32_t peer_id, BeginRoundMsg msg) {
+  // Before the ack, so a hop never waits on a table build.
+  auto key_tables = ResolveKeyTables(msg.spec);
   bool overloaded = false;
   {
     std::lock_guard<std::mutex> lock(rounds_mu_);
@@ -190,6 +226,7 @@ void NodeProcess::BeginRound(uint32_t peer_id, BeginRoundMsg msg) {
       ctx->round_id = msg.round_id;
       ctx->root = msg.root_key;
       ctx->spec = std::move(msg.spec);
+      ctx->key_tables = std::move(key_tables);
       lane->ctx = std::move(ctx);
       active_[msg.round_id] = lane;
     }
@@ -370,15 +407,15 @@ void NodeProcess::ProcessHop(const std::shared_ptr<RoundCtx>& ctx,
   }
   std::vector<CiphertextBatch> out(last ? 1 : neighbors.size());
   if (!input.empty()) {
-    std::vector<Point> next_pks;
-    next_pks.reserve(neighbors.size());
+    std::vector<const FixedBaseTable*> next_tables;
+    next_tables.reserve(neighbors.size());
     for (uint32_t n : neighbors) {
-      next_pks.push_back(spec.group_pks[n]);
+      next_tables.push_back(ctx->key_tables[n].get());
     }
     std::array<uint8_t, 32> key = DeriveSubKey(ctx->root, hop_key);
     Rng rng(BytesView(key.data(), key.size()));
     HopResult hop_result = runtime->RunHop(
-        input, next_pks, static_cast<Variant>(spec.variant), rng,
+        input, next_tables, static_cast<Variant>(spec.variant), rng,
         spec.hop_workers);
     if (hop_result.aborted) {
       AbortRound(ctx, gid,

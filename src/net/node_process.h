@@ -70,7 +70,9 @@ class NodeProcess {
   // Start().
   void set_wire_delay(std::chrono::milliseconds delay);
   // Per-peer WAN matrix entry (overrides set_wire_delay for that peer);
-  // benches shape a multi-region topology with these. Set before Start().
+  // benches shape a multi-region topology with these. The emulated delay
+  // is a sleep on this server's pool per frame (see WanProfile). Set
+  // before Start().
   void set_peer_profile(uint32_t peer_id, WanProfile profile);
   // Transport counters (bytes/frames/bundles per peer) for bench rows.
   MeshTransportStats TransportStats() const { return mesh_.Stats(); }
@@ -124,6 +126,9 @@ class NodeProcess {
     WireRoundSpec spec;
     std::map<uint64_t, HopAssembly> hops;  // key: layer * width + gid
     std::map<uint32_t, ExitAssembly> exits;  // key: dest gid hosted here
+    // By gid: the rewrap table of every neighbour of a group hosted here
+    // (null elsewhere), resolved once at kBeginRound from the key cache.
+    std::vector<std::shared_ptr<const FixedBaseTable>> key_tables;
     std::atomic<bool> aborted{false};
   };
   // A serial execution lane. The SerialExecutor outlives the rounds that
@@ -159,6 +164,11 @@ class NodeProcess {
   void AbortRound(const std::shared_ptr<RoundCtx>& ctx, uint32_t gid,
                   std::string reason);
   GroupRuntime* FindHostedGroup(uint32_t gid);
+  // The key tables a round's hops rewrap toward (RoundCtx::key_tables),
+  // from key_tables_: a hosted group's own pk_table() when its key
+  // matches, else a table built here the first time a spec names that key.
+  std::vector<std::shared_ptr<const FixedBaseTable>> ResolveKeyTables(
+      const WireRoundSpec& spec);
   void Ack(uint32_t peer_id, uint64_t seq);
 
   const uint32_t server_id_;
@@ -177,6 +187,11 @@ class NodeProcess {
 
   std::mutex groups_mu_;
   std::map<uint32_t, std::unique_ptr<GroupRuntime>> hosted_;
+
+  // One immutable table per neighbour gid, replaced only when a spec
+  // names a different key for that gid. Taken before groups_mu_.
+  std::mutex tables_mu_;
+  std::map<uint32_t, std::shared_ptr<const FixedBaseTable>> key_tables_;
 
   std::shared_ptr<FaultPlan> fault_plan_;  // set before Start()
 };

@@ -164,9 +164,12 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
 
   // Phase 1: open the round on every hosting server, ack-synchronized so
   // the root key and commitments land before any traffic that depends on
-  // them (hop batches arrive on different links than ours).
+  // them (hop batches arrive on different links than ours). Every host's
+  // open leaves before any ack is awaited.
   {
     obs::TraceSpan begin_span("begin_round", "driver", round_id);
+    std::vector<std::pair<uint32_t, WireRoundSpec>> host_specs;
+    host_specs.reserve(unique_hosts_.size());
     for (uint32_t host : unique_hosts_) {
       WireRoundSpec host_spec = spec;
       if (!all_commitments.empty()) {
@@ -176,13 +179,15 @@ uint64_t DistributedRoundDriver::Submit(EngineRound round) {
           }
         }
       }
-      if (!mesh_->SendBeginRound(host, round_id, round.seed, host_spec)) {
-        std::lock_guard<std::mutex> lock(mu_);
-        AbortLocked(*pending, "round " + std::to_string(round_id) +
-                                  ": server " + std::to_string(host) +
-                                  " unreachable at round start");
-        return round_id;
-      }
+      host_specs.emplace_back(host, std::move(host_spec));
+    }
+    if (auto failed = mesh_->SendBeginRounds(round_id, round.seed,
+                                             host_specs)) {
+      std::lock_guard<std::mutex> lock(mu_);
+      AbortLocked(*pending, "round " + std::to_string(round_id) +
+                                ": server " + std::to_string(*failed) +
+                                " unreachable at round start");
+      return round_id;
     }
   }
 

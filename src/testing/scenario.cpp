@@ -440,12 +440,14 @@ class ScenarioRunner {
       Fail("roster push to the fleet failed");
       return false;
     }
+    std::vector<TcpPeerMesh::HostGroupPush> pushes;
     for (uint32_t g = 0; g < width_; g++) {
-      if (!mesh_->SendHostGroup(hosts_[g], g, net_->group(g).dkg())) {
-        Fail("host-group push to server " + std::to_string(hosts_[g]) +
-             " failed");
-        return false;
-      }
+      pushes.push_back({hosts_[g], g, &net_->group(g).dkg()});
+    }
+    if (auto failed = mesh_->SendHostGroups(pushes)) {
+      Fail("host-group push to server " + std::to_string(*failed) +
+           " failed");
+      return false;
     }
     Note("fleet up: %u atom_server processes (hosts 1..%u)", width_, width_);
 

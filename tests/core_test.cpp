@@ -288,6 +288,9 @@ TEST(PinnedBytes, PerProofEncProofsVerifyAsOneBatch) {
 
 // ------------------------------------------------------------ group hop --
 
+// No neighbour tables: the hop is the exit layer (final decryption).
+const std::vector<const FixedBaseTable*> kExitLayer;
+
 struct HopFixture {
   Rng rng{uint64_t{720}};
   DkgParams dkg_params{3, 3};  // 3 servers, anytrust (h = 1)
@@ -322,8 +325,9 @@ struct HopFixture {
 TEST(GroupHop, TrapVariantForwardsDecryptably) {
   HopFixture f;
   auto batch = f.MakeBatch(6, 2);
-  std::vector<Point> next_pks = {f.next_a.pk(), f.next_b.pk()};
-  auto hop = f.group.RunHop(batch, next_pks, Variant::kTrap, f.rng);
+  std::vector<const FixedBaseTable*> next = {&f.next_a.pk_table(),
+                                             &f.next_b.pk_table()};
+  auto hop = f.group.RunHop(batch, next, Variant::kTrap, f.rng);
   ASSERT_FALSE(hop.aborted) << hop.abort_reason;
   ASSERT_EQ(hop.batches.size(), 2u);
   EXPECT_EQ(hop.batches[0].size() + hop.batches[1].size(), 6u);
@@ -348,8 +352,8 @@ TEST(GroupHop, TrapVariantForwardsDecryptably) {
 TEST(GroupHop, NizkVariantHonestRunSucceeds) {
   HopFixture f;
   auto batch = f.MakeBatch(4, 1);
-  std::vector<Point> next_pks = {f.next_a.pk()};
-  auto hop = f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng);
+  std::vector<const FixedBaseTable*> next = {&f.next_a.pk_table()};
+  auto hop = f.group.RunHop(batch, next, Variant::kNizk, f.rng);
   EXPECT_FALSE(hop.aborted) << hop.abort_reason;
   EXPECT_GT(hop.stats.shuffle_seconds, 0.0);
   EXPECT_GT(hop.stats.verify_seconds, 0.0);
@@ -358,11 +362,11 @@ TEST(GroupHop, NizkVariantHonestRunSucceeds) {
 TEST(GroupHop, NizkCatchesShuffleTampering) {
   HopFixture f;
   auto batch = f.MakeBatch(4, 1);
-  std::vector<Point> next_pks = {f.next_a.pk()};
+  std::vector<const FixedBaseTable*> next = {&f.next_a.pk_table()};
   for (uint32_t bad_server : {1u, 2u, 3u}) {
     MaliciousAction evil{MaliciousAction::Kind::kTamperDuringShuffle,
                          bad_server, 2};
-    auto hop = f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng, 1,
+    auto hop = f.group.RunHop(batch, next, Variant::kNizk, f.rng, 1,
                               &evil);
     EXPECT_TRUE(hop.aborted);
     EXPECT_NE(hop.abort_reason.find("shuffle"), std::string::npos);
@@ -372,9 +376,9 @@ TEST(GroupHop, NizkCatchesShuffleTampering) {
 TEST(GroupHop, NizkCatchesReEncTampering) {
   HopFixture f;
   auto batch = f.MakeBatch(4, 1);
-  std::vector<Point> next_pks = {f.next_a.pk()};
+  std::vector<const FixedBaseTable*> next = {&f.next_a.pk_table()};
   MaliciousAction evil{MaliciousAction::Kind::kTamperDuringReEnc, 2, 1};
-  auto hop = f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng, 1, &evil);
+  auto hop = f.group.RunHop(batch, next, Variant::kNizk, f.rng, 1, &evil);
   EXPECT_TRUE(hop.aborted);
   EXPECT_NE(hop.abort_reason.find("reencryption"), std::string::npos);
 }
@@ -382,16 +386,16 @@ TEST(GroupHop, NizkCatchesReEncTampering) {
 TEST(GroupHop, NizkCatchesDuplication) {
   HopFixture f;
   auto batch = f.MakeBatch(4, 1);
-  std::vector<Point> next_pks = {f.next_a.pk()};
+  std::vector<const FixedBaseTable*> next = {&f.next_a.pk_table()};
   MaliciousAction evil{MaliciousAction::Kind::kDuplicateDuringShuffle, 1, 0};
-  auto hop = f.group.RunHop(batch, next_pks, Variant::kNizk, f.rng, 1, &evil);
+  auto hop = f.group.RunHop(batch, next, Variant::kNizk, f.rng, 1, &evil);
   EXPECT_TRUE(hop.aborted);
 }
 
 TEST(GroupHop, ExitLayerYieldsPlaintexts) {
   HopFixture f;
   auto batch = f.MakeBatch(4, 2);
-  auto hop = f.group.RunHop(batch, {}, Variant::kTrap, f.rng);
+  auto hop = f.group.RunHop(batch, kExitLayer, Variant::kTrap, f.rng);
   ASSERT_FALSE(hop.aborted);
   ASSERT_EQ(hop.batches.size(), 1u);
   auto points = ExitPlaintexts(hop.batches[0]);
@@ -424,8 +428,8 @@ TEST(GroupHop, ToleratesOneFailureWithHTwo) {
     batch[i].push_back(
         ElGamalEncrypt(group.pk(), *EmbedMessage(BytesView(payload)), rng));
   }
-  std::vector<Point> next_pks = {next.pk()};
-  auto hop = group.RunHop(batch, next_pks, Variant::kTrap, rng);
+  std::vector<const FixedBaseTable*> next_tables = {&next.pk_table()};
+  auto hop = group.RunHop(batch, next_tables, Variant::kTrap, rng);
   ASSERT_FALSE(hop.aborted) << hop.abort_reason;
 
   // Forwarded ciphertexts decrypt under the next group (all 4 of its
@@ -451,7 +455,7 @@ TEST(GroupHop, TooManyFailuresAborts) {
   CiphertextBatch batch(1);
   batch[0].push_back(ElGamalEncrypt(
       group.pk(), *EmbedMessage(BytesView(ToBytes("x"))), rng));
-  auto hop = group.RunHop(batch, {}, Variant::kTrap, rng);
+  auto hop = group.RunHop(batch, kExitLayer, Variant::kTrap, rng);
   EXPECT_TRUE(hop.aborted);
   EXPECT_NE(hop.abort_reason.find("too few"), std::string::npos);
 }
@@ -470,7 +474,7 @@ TEST(GroupHop, BuddyRecoveryRestoresGroup) {
   CiphertextBatch batch(1);
   batch[0].push_back(ElGamalEncrypt(
       group.pk(), *EmbedMessage(BytesView(ToBytes("y"))), rng));
-  EXPECT_TRUE(group.RunHop(batch, {}, Variant::kTrap, rng).aborted);
+  EXPECT_TRUE(group.RunHop(batch, kExitLayer, Variant::kTrap, rng).aborted);
 
   // Buddies reconstruct server 2's share; a replacement server joins.
   auto recovered = RecoverShare(
@@ -478,7 +482,7 @@ TEST(GroupHop, BuddyRecoveryRestoresGroup) {
   ASSERT_TRUE(recovered.has_value());
   group.Restore(*recovered);
   EXPECT_EQ(group.AliveCount(), 3u);
-  auto hop = group.RunHop(batch, {}, Variant::kTrap, rng);
+  auto hop = group.RunHop(batch, kExitLayer, Variant::kTrap, rng);
   EXPECT_FALSE(hop.aborted) << hop.abort_reason;
 }
 

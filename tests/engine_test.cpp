@@ -99,15 +99,16 @@ std::vector<CiphertextBatch> BarrierMix(const Network& net, Variant variant,
       if (at[g].empty()) {
         continue;
       }
-      std::vector<Point> next_pks;
+      std::vector<const FixedBaseTable*> next_tables;
       std::vector<uint32_t> neighbors;
       if (!last) {
         neighbors = topo.Neighbors(layer, g);
         for (uint32_t n : neighbors) {
-          next_pks.push_back(net.groups[n]->pk());
+          next_tables.push_back(&net.groups[n]->pk_table());
         }
       }
-      HopResult hop = net.groups[g]->RunHop(at[g], next_pks, variant, rng);
+      HopResult hop =
+          net.groups[g]->RunHop(at[g], next_tables, variant, rng);
       EXPECT_FALSE(hop.aborted) << hop.abort_reason;
       if (last) {
         exits[g] = std::move(hop.batches[0]);

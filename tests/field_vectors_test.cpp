@@ -1,8 +1,11 @@
 // Cross-implementation validation of the Montgomery field arithmetic:
 // random (a, b) pairs with a·b, a+b, and a⁻¹ computed independently by
-// CPython's arbitrary-precision integers, for both P-256 moduli; and
+// CPython's arbitrary-precision integers, for both P-256 moduli;
 // FieldP()'s p-specific paths (reduction, inversion and square-root
-// chains) against a generic Mont instance over the same prime.
+// chains) against a generic Mont instance over the same prime; and the
+// carry chains (U256Add/U256Sub, the masked Mont Add/Sub/Neg) against the
+// portable __int128 loops and a compare-and-correct reference on the
+// operands where a carry or borrow crosses limbs or the modulus.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -225,6 +228,223 @@ TEST(FieldPDifferential, SqrtChainMatchesPow) {
   EXPECT_FALSE(fp.Sqrt(fp.ToMont(PMinus(1))).has_value());
   EXPECT_GT(residues, 64);
   EXPECT_GT(non_residues, 64);
+}
+
+// --------------------------------------------- carry chains and masks --
+
+constexpr uint64_t kOnes = ~uint64_t{0};
+
+U256 PortableSub(const U256& a, const U256& b) {
+  U256 out;
+  U256SubPortable(&out, a, b);
+  return out;
+}
+
+U256 PortableAdd(const U256& a, const U256& b) {
+  U256 out;
+  U256AddPortable(&out, a, b);
+  return out;
+}
+
+// The compare-and-correct field operations over the portable loops: the
+// reference for Mont's masked, branch-free Add/Sub/Neg (defined for every
+// 256-bit input, reduced or not).
+U256 RefAdd(const U256& a, const U256& b) {
+  U256 out;
+  const uint64_t carry = U256AddPortable(&out, a, b);
+  if (carry != 0 || !U256Less(out, P256Prime())) {
+    U256SubPortable(&out, out, P256Prime());
+  }
+  return out;
+}
+
+U256 RefSub(const U256& a, const U256& b) {
+  U256 out;
+  if (U256SubPortable(&out, a, b) != 0) {
+    U256AddPortable(&out, out, P256Prime());
+  }
+  return out;
+}
+
+U256 RefNeg(const U256& a) {
+  return a.IsZero() ? a : PortableSub(P256Prime(), a);
+}
+
+// Operand pairs on the carry chains' boundaries: sums equal to p, to 2^256
+// and to 2^256 + p - 2; differences of -1, 0 - (p - 1) and 0; all-ones
+// limbs whose carry runs through every limb above them.
+std::vector<std::pair<U256, U256>> CarryBoundaryPairs() {
+  const U256 p = P256Prime();
+  const U256 one = U256::FromU64(1);
+  const U256 ones = U256::FromLimbs(kOnes, kOnes, kOnes, kOnes);
+  const U256 p_minus_1 = PortableSub(p, one);
+  const U256 p_minus_2 = PortableSub(p, U256::FromU64(2));
+  const U256 two_256_minus_p = PortableSub(U256::Zero(), p);  // 2^256 - p
+  U256 half;
+  half.v[3] = uint64_t{1} << 63;  // 2^255
+  std::vector<std::pair<U256, U256>> pairs = {
+      // a + b = p.
+      {p_minus_1, one},
+      {U256::FromLimbs(0, 0, 0, p.v[3]), U256::FromLimbs(p.v[0], p.v[1],
+                                                         p.v[2], 0)},
+      {PortableSub(p, U256::FromLimbs(0, 1, 0, 0)), U256::FromLimbs(0, 1, 0,
+                                                                    0)},
+      // a + b = 2^256.
+      {ones, one},
+      {half, half},
+      {p, two_256_minus_p},
+      {p_minus_1, PortableAdd(two_256_minus_p, one)},
+      // a + b = 2^256 + p - 2.
+      {ones, p_minus_1},
+      {p_minus_1, ones},
+      // a - b = -1.
+      {U256::Zero(), one},
+      {p_minus_2, p_minus_1},
+      {U256::FromLimbs(kOnes, kOnes, kOnes, 0), half},
+      // 0 - (p - 1).
+      {U256::Zero(), p_minus_1},
+      // Equal operands: a - b = 0.
+      {U256::Zero(), U256::Zero()},
+      {one, one},
+      {p_minus_1, p_minus_1},
+      {p, p},
+      {ones, ones},
+      // All-ones limbs: a carry (or borrow) crosses 1, 2 and 3 limbs.
+      {U256::FromLimbs(kOnes, 0, 0, 0), one},
+      {U256::FromLimbs(kOnes, kOnes, 0, 0), one},
+      {U256::FromLimbs(kOnes, kOnes, kOnes, 0), one},
+      {U256::FromLimbs(0, kOnes, kOnes, kOnes), U256::FromLimbs(0, 1, 0, 0)},
+      {U256::FromLimbs(0, 0, 0, 1), one},
+      {U256::FromLimbs(0, 0, 1, 0), one},
+      {U256::FromLimbs(0, 1, 0, 0), one},
+  };
+  return pairs;
+}
+
+// Limbs drawn from {0, 1, 2^63, 2^64 - 2, 2^64 - 1, random}, so carries and
+// borrows run across several limbs far more often than uniform values do.
+U256 CarryHeavyValue(Rng& rng) {
+  U256 out;
+  for (uint64_t& limb : out.v) {
+    switch (rng.NextU64() % 6) {
+      case 0: limb = 0; break;
+      case 1: limb = 1; break;
+      case 2: limb = uint64_t{1} << 63; break;
+      case 3: limb = kOnes - 1; break;
+      case 4: limb = kOnes; break;
+      default: limb = rng.NextU64(); break;
+    }
+  }
+  return out;
+}
+
+void ExpectChainsMatchPortable(const U256& a, const U256& b) {
+  U256 sum, sum_ref, diff, diff_ref;
+  EXPECT_EQ(U256Add(&sum, a, b), U256AddPortable(&sum_ref, a, b));
+  EXPECT_EQ(sum, sum_ref);
+  EXPECT_EQ(U256Sub(&diff, a, b), U256SubPortable(&diff_ref, a, b));
+  EXPECT_EQ(diff, diff_ref);
+}
+
+void ExpectFieldOpsMatchReference(const Mont& fp, const Mont& generic,
+                                  const U256& a, const U256& b) {
+  EXPECT_EQ(fp.Add(a, b), RefAdd(a, b));
+  EXPECT_EQ(fp.Sub(a, b), RefSub(a, b));
+  EXPECT_EQ(fp.Neg(a), RefNeg(a));
+  EXPECT_EQ(fp.Add(a, b), generic.Add(a, b));
+  EXPECT_EQ(fp.Sub(a, b), generic.Sub(a, b));
+  EXPECT_EQ(fp.Neg(a), generic.Neg(a));
+  if (U256Less(a, P256Prime()) && U256Less(b, P256Prime())) {
+    EXPECT_TRUE(U256Less(fp.Add(a, b), P256Prime()));
+    EXPECT_TRUE(U256Less(fp.Sub(a, b), P256Prime()));
+    EXPECT_TRUE(U256Less(fp.Neg(a), P256Prime()));
+  }
+}
+
+TEST(CarryChains, U256AddSubMatchPortableOnBoundaries) {
+  for (const auto& [a, b] : CarryBoundaryPairs()) {
+    SCOPED_TRACE(HexEncode(BytesView(a.ToBytesBe())) + " " +
+                 HexEncode(BytesView(b.ToBytesBe())));
+    ExpectChainsMatchPortable(a, b);
+    ExpectChainsMatchPortable(b, a);
+  }
+  // The named boundaries, spelled out.
+  const U256 ones = U256::FromLimbs(kOnes, kOnes, kOnes, kOnes);
+  U256 out;
+  EXPECT_EQ(U256Add(&out, ones, U256::FromU64(1)), 1u);
+  EXPECT_TRUE(out.IsZero());
+  EXPECT_EQ(U256Sub(&out, U256::Zero(), U256::FromU64(1)), 1u);
+  EXPECT_EQ(out, ones);
+  EXPECT_EQ(U256Add(&out, U256::FromLimbs(kOnes, kOnes, kOnes, 0),
+                    U256::FromU64(1)),
+            0u);
+  EXPECT_EQ(out, U256::FromLimbs(0, 0, 0, 1));
+}
+
+TEST(CarryChains, U256AddSubMatchPortableOnSeededPairs) {
+  Rng rng(uint64_t{0xadc});
+  for (int i = 0; i < 100000; i++) {
+    const U256 a = (i % 2 == 0) ? CarryHeavyValue(rng) : RandomBelowP(rng);
+    const U256 b = (i % 3 == 0) ? RandomBelowP(rng) : CarryHeavyValue(rng);
+    U256 sum, sum_ref, diff, diff_ref;
+    ASSERT_EQ(U256Add(&sum, a, b), U256AddPortable(&sum_ref, a, b)) << i;
+    ASSERT_EQ(sum, sum_ref) << i;
+    ASSERT_EQ(U256Sub(&diff, a, b), U256SubPortable(&diff_ref, a, b)) << i;
+    ASSERT_EQ(diff, diff_ref) << i;
+  }
+  // In place: `out` aliases an operand.
+  U256 x = U256::FromLimbs(kOnes, kOnes, 0, 5);
+  U256 x_ref = x;
+  EXPECT_EQ(U256Add(&x, x, x), U256AddPortable(&x_ref, x_ref, x_ref));
+  EXPECT_EQ(x, x_ref);
+  EXPECT_EQ(U256Sub(&x, U256::FromU64(3), x),
+            U256SubPortable(&x_ref, U256::FromU64(3), x_ref));
+  EXPECT_EQ(x, x_ref);
+}
+
+TEST(CarryChains, FieldAddSubNegMatchReferenceOnBoundaries) {
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  std::vector<U256> values = EdgeOperands(generic);
+  for (const auto& [a, b] : CarryBoundaryPairs()) {
+    SCOPED_TRACE(HexEncode(BytesView(a.ToBytesBe())) + " " +
+                 HexEncode(BytesView(b.ToBytesBe())));
+    ExpectFieldOpsMatchReference(fp, generic, a, b);
+    ExpectFieldOpsMatchReference(fp, generic, b, a);
+    values.push_back(a);
+  }
+  for (const U256& a : values) {
+    for (const U256& b : values) {
+      ExpectFieldOpsMatchReference(fp, generic, a, b);
+    }
+  }
+  // The boundaries the masks select on, with known answers.
+  const U256 p_minus_1 = PMinus(1);
+  EXPECT_TRUE(fp.Add(p_minus_1, U256::FromU64(1)).IsZero());  // sum = p
+  EXPECT_EQ(fp.Add(p_minus_1, p_minus_1), PMinus(2));  // sum = 2p - 2
+  EXPECT_EQ(fp.Sub(U256::Zero(), U256::FromU64(1)), p_minus_1);
+  EXPECT_EQ(fp.Sub(U256::Zero(), p_minus_1), U256::FromU64(1));
+  EXPECT_TRUE(fp.Sub(p_minus_1, p_minus_1).IsZero());
+  EXPECT_TRUE(fp.Neg(U256::Zero()).IsZero());
+  EXPECT_EQ(fp.Neg(U256::FromU64(1)), p_minus_1);
+}
+
+TEST(CarryChains, FieldAddSubNegMatchReferenceOnSeededPairs) {
+  const Mont& fp = FieldP();
+  const Mont generic(P256Prime());
+  Rng rng(uint64_t{0xf1e1dadd});
+  for (int i = 0; i < 100000; i++) {
+    const U256 a = RandomBelowP(rng), b = RandomBelowP(rng);
+    const U256 sum = fp.Add(a, b), diff = fp.Sub(a, b), neg = fp.Neg(a);
+    ASSERT_EQ(sum, RefAdd(a, b)) << i;
+    ASSERT_EQ(diff, RefSub(a, b)) << i;
+    ASSERT_EQ(neg, RefNeg(a)) << i;
+    ASSERT_EQ(sum, generic.Add(a, b)) << i;
+    ASSERT_TRUE(U256Less(sum, P256Prime()) && U256Less(diff, P256Prime()))
+        << i;
+    ASSERT_EQ(fp.Add(diff, b), a) << i;
+    ASSERT_TRUE(fp.Add(a, neg).IsZero()) << i;
+  }
 }
 
 }  // namespace

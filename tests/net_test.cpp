@@ -465,12 +465,11 @@ struct PipelinedDeployment {
     if (!mesh.ConnectAndPushRoster()) {
       return false;
     }
+    std::vector<TcpPeerMesh::HostGroupPush> pushes;
     for (uint32_t g = 0; g < width; g++) {
-      if (!mesh.SendHostGroup(hosts[g], g, round.group(g).dkg())) {
-        return false;
-      }
+      pushes.push_back({hosts[g], g, &round.group(g).dkg()});
     }
-    return true;
+    return !mesh.SendHostGroups(pushes).has_value();
   }
 
   void StopAll() {
@@ -887,6 +886,58 @@ TEST(MeshRoster, SetRosterDropsLinksWhoseEntryChanged) {
   // Restoring the entry redials successfully.
   driver.SetRoster({good});
   EXPECT_TRUE(driver.SendFrame(7, LinkMsg::kRoundDone, BytesView(probe)));
+
+  driver.Stop();
+  server.Stop();
+}
+
+TEST(MeshControl, ControlPushWaitsItsTurnBehindAFullLane) {
+  // An ack-synchronized control push rides the peer's sender lane: it is
+  // admitted even when the lane's data frames already fill the byte bound
+  // (a data frame there is refused), it leaves only after every frame
+  // queued ahead of it (per-peer FIFO), and a push that times out there
+  // reports failure without disturbing the next push.
+  Rng rng(uint64_t{0xc0a7});
+  KemKeypair driver_key = KemKeyGen(rng);
+  KemKeypair server_key = KemKeyGen(rng);
+  NodeProcess server(7, Variant::kTrap, server_key, driver_key.pk);
+  ASSERT_TRUE(server.Listen(0));
+  server.Start();
+
+  TcpPeerMesh driver(TcpPeerMesh::Role::kDriver, kMeshDriverId, driver_key);
+  driver.SetRoster({MeshPeer{7, "127.0.0.1", server.port(), server_key.pk}});
+  Bytes probe = EncodeRoundDone(0xdead);
+  ASSERT_TRUE(driver.SendFrame(7, LinkMsg::kRoundDone, BytesView(probe)));
+
+  constexpr auto kDelay = 40ms;
+  driver.set_send_delay(kDelay);
+  driver.set_send_queue_bound(64);
+  // Fills the lane with data frames until admission refuses one.
+  auto fill_lane = [&] {
+    size_t admitted = 0;
+    while (driver.SendFrameAsync(7, LinkMsg::kRoundDone, probe, 0xdead, 0)) {
+      admitted++;
+    }
+    return admitted;
+  };
+
+  auto start = std::chrono::steady_clock::now();
+  const size_t ahead = fill_lane();
+  ASSERT_GE(ahead, 2u);
+  EXPECT_GE(driver.send_queue_drops(), 1u);
+  EXPECT_TRUE(driver.ConnectAndPushRoster())
+      << "a control push was refused behind a full lane";
+  // Each frame, the push's own included, sleeps the delay on the lane in
+  // turn, so the ack cannot come back before all of them have left.
+  EXPECT_GE(std::chrono::steady_clock::now() - start, (ahead + 1) * kDelay);
+
+  // A timeout shorter than the lane ahead: the push fails, and its ack,
+  // arriving after the waiter gave up, is dropped.
+  driver.set_control_timeout(kDelay);
+  ASSERT_GE(fill_lane(), 2u);
+  EXPECT_FALSE(driver.ConnectAndPushRoster());
+  driver.set_control_timeout(10s);
+  EXPECT_TRUE(driver.ConnectAndPushRoster());
 
   driver.Stop();
   server.Stop();
